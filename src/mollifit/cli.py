@@ -203,8 +203,17 @@ def _write_json(path: str, obj):
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _sidecar_path(out: str) -> str:
-    return str(Path(out).with_suffix(Path(out).suffix + ".meta.json"))
+def _write_sidecar(out: str, seed, resolved_config: dict, **extra) -> dict:
+    """Write ``<out>.meta.json`` and return its content.
+
+    The sidecar carries the build id, the seed (omitted by commands that
+    draw no random numbers), the resolved configuration and any extras.
+    """
+    meta = {"version": BUILD_ID, "resolved_config": resolved_config, **extra}
+    if seed is not None:
+        meta["seed"] = seed
+    _write_json(str(Path(out).with_suffix(Path(out).suffix + ".meta.json")), meta)
+    return meta
 
 
 def _sample_kurtosis(x: np.ndarray) -> float:
@@ -233,7 +242,13 @@ def cmd_simulate(args) -> int:
         raise ConfigurationError("simulate needs --n (or dgp.n in the config)")
     n = int(n)
     rng = rng_for(seed, 0)
+    lin_proc = dgp_cfg.get("lin_proc_coeffs")
     if example:
+        if lin_proc is not None:
+            raise ConfigurationError(
+                "dgp.lin_proc_coeffs cannot be combined with a packaged example: "
+                "the examples fix their regressor processes"
+            )
         data, model, truth = gen_example(
             example, n, law, rng, recenter_tau=recenter, error_scale=scale
         )
@@ -261,6 +276,7 @@ def cmd_simulate(args) -> int:
             trend=TrendKind(dgp_cfg.get("trend", "none")),
             error_law=law,
             error_scale=scale,
+            lin_proc_coeffs=lin_proc,
             quantile_recentering=recenter,
         )
         data = simulate_generic(dcfg, model, truth, rng)
@@ -271,21 +287,18 @@ def cmd_simulate(args) -> int:
             "rho2": dcfg.rho2.tolist(), "sigma2": dcfg.sigma2.tolist(),
             "trend": dcfg.trend.value,
         }
+        if lin_proc is not None:
+            resolved_dgp["lin_proc_coeffs"] = [a.tolist() for a in dcfg.lin_proc_coeffs]
         model_echo = model_to_config(model)
         model_echo["params"] = params_to_config(truth)
     _write_text(args.out, dataset_to_csv(data))
     # Residuals at the truth are exactly the generated errors.
     errors = data.y - regression_mean(model, truth, data.X, data.Z)
     kurt = _sample_kurtosis(errors)
-    sidecar = {
-        "version": BUILD_ID,
-        "seed": seed,
-        "resolved_config": {"seed": seed, "model": model_echo, "dgp": resolved_dgp},
-        "error_kurtosis": kurt,
-        "heavy_tail_flag": bool(kurt > 9.0),
-        "rows": data.n,
-    }
-    _write_json(_sidecar_path(args.out), sidecar)
+    _write_sidecar(
+        args.out, seed, {"seed": seed, "model": model_echo, "dgp": resolved_dgp},
+        error_kurtosis=kurt, heavy_tail_flag=bool(kurt > 9.0), rows=data.n,
+    )
     return 0
 
 
@@ -305,7 +318,16 @@ def cmd_fit(args) -> int:
         raise IOError(f"cannot read dataset {args.data}: {exc}") from exc
     opts = fit_options_from_config(cfg.get("fit", {}), loss)
     res = fit(model, data, opts)
-    model_echo = model_to_config(model)
+    resolved = {
+        "seed": seed,
+        "loss": loss.label(),
+        "model": model_to_config(model),
+        "fit": cfg.get("fit", {}),
+    }
+    meta = _write_sidecar(
+        args.out, seed, resolved,
+        start_index=res.start_index, mollifier_m=res.mollifier_m,
+    )
     doc = {
         "params": params_to_config(res.params),
         "a1_hat": res.a1_hat,
@@ -315,18 +337,7 @@ def cmd_fit(args) -> int:
         "objective": res.objective,
         "iterations": res.iterations,
         "converged": res.converged,
-        "meta": {
-            "version": BUILD_ID,
-            "seed": seed,
-            "start_index": res.start_index,
-            "mollifier_m": res.mollifier_m,
-            "resolved_config": {
-                "seed": seed,
-                "loss": loss.label(),
-                "model": model_echo,
-                "fit": cfg.get("fit", {}),
-            },
-        },
+        "meta": meta,
     }
     _write_json(args.out, doc)
     return 0 if res.converged else 1
@@ -394,22 +405,18 @@ def cmd_mc(args) -> int:
     _write_text(args.out, text)
     if args.markdown:
         _write_text(args.markdown, summarize(table, "markdown", scale=scale))
-    sidecar = {
-        "version": BUILD_ID,
+    resolved = {
         "seed": seed,
-        "resolved_config": {
-            "seed": seed,
-            "mc": {
-                "example": example, "n_list": n_list, "reps": int(reps),
-                "losses": [l.label() for l in losses],
-                "laws": [l.value for l in laws],
-                "scale": scale, "rate_params": rate_params,
-                "start_at_truth": start_at_truth, "threads": int(threads),
-            },
-            "fit": cfg.get("fit", {}),
+        "mc": {
+            "example": example, "n_list": n_list, "reps": int(reps),
+            "losses": [l.label() for l in losses],
+            "laws": [l.value for l in laws],
+            "scale": scale, "rate_params": rate_params,
+            "start_at_truth": start_at_truth, "threads": int(threads),
         },
+        "fit": cfg.get("fit", {}),
     }
-    _write_json(_sidecar_path(args.out), sidecar)
+    _write_sidecar(args.out, seed, resolved)
     return 0
 
 
@@ -485,18 +492,15 @@ def cmd_forecast(args) -> int:
         offset = int(window)
         dump_dates = dates[offset:] if dates else None
         _write_text(args.dump, error_dump_csv(reports[0], dump_dates))
-    sidecar = {
-        "version": BUILD_ID,
-        "resolved_config": {
-            "loss": loss.label(),
-            "model": model_to_config(model),
-            "forecast": {
-                "window": int(window), "x_cols": x_cols, "z_cols": z_cols,
-                "y_col": y_col, "quantiles": quantiles,
-            },
+    resolved = {
+        "loss": loss.label(),
+        "model": model_to_config(model),
+        "forecast": {
+            "window": int(window), "x_cols": x_cols, "z_cols": z_cols,
+            "y_col": y_col, "quantiles": quantiles,
         },
     }
-    _write_json(_sidecar_path(args.out), sidecar)
+    _write_sidecar(args.out, None, resolved)
     return 0
 
 
@@ -529,6 +533,8 @@ def cmd_loss_probe(args) -> int:
                 f"{rho_pp[i]:.17g},{gap:.17g},{bound:.17g}"
             )
     _write_text(args.out, "\n".join(lines) + "\n")
+    resolved = {"loss": loss.label(), "m": m_list, "grid": args.grid}
+    _write_sidecar(args.out, None, resolved)
     return 0
 
 
@@ -587,7 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--quantiles")
     pc.add_argument("--threads", type=int)
     pc.add_argument("--config")
-    pc.add_argument("--dump")
+    pc.add_argument("--dump", help="per-window error CSV of the first quantile level "
+                    "(of the loss itself without --quantiles)")
     pc.add_argument("--out", required=True)
     pc.set_defaults(func=cmd_forecast)
 

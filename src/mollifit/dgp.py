@@ -84,6 +84,9 @@ class DgpConfig:
             self.lin_proc_coeffs = [
                 np.asarray(a, dtype=float) for a in self.lin_proc_coeffs
             ]
+            d = self.d1
+            if any(np.atleast_2d(a).shape != (d, d) for a in self.lin_proc_coeffs):
+                raise ShapeError(f"lin_proc_coeffs must be {d}x{d} matrices")
 
 
 def rng_for(base_seed: int, *key: int) -> np.random.Generator:

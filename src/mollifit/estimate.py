@@ -45,6 +45,7 @@ from .model import (
     ModelSpec,
     ParamLayout,
     ParamVector,
+    _unitize,
     link_deriv,
     link_value,
     param_jacobian,
@@ -214,33 +215,17 @@ def _sphere_point(counter: int, d: int) -> np.ndarray:
     )
     u = np.clip(u - np.floor(u), 5e-4, 1.0 - 5e-4)
     z = ndtri(u)
-    nrm = np.linalg.norm(z)
-    if nrm < 1e-12:
-        z = np.zeros(d)
-        z[0] = 1.0
-        nrm = 1.0
-    z /= nrm
-    for v in z:
-        if abs(v) > 1e-12:
-            if v < 0:
-                z = -z
-            break
-    return z
+    if np.linalg.norm(z) < 1e-12:
+        return np.eye(1, d)[0]
+    return _unitize(z)[0]
 
 
 def _unit_or_default(vec: np.ndarray, d: int) -> np.ndarray:
+    """Unit ``vec`` with a positive lead; the first axis if ``vec`` is missing or near zero."""
     nrm = float(np.linalg.norm(vec)) if vec is not None else 0.0
     if vec is None or nrm < 1e-10 or not np.isfinite(nrm):
-        out = np.zeros(d)
-        out[0] = 1.0
-        return out
-    out = vec / nrm
-    for v in out:
-        if abs(v) > 1e-12:
-            if v < 0:
-                out = -out
-            break
-    return out
+        return np.eye(1, d)[0]
+    return _unitize(vec)[0]
 
 
 def _gamma_refit(model, data, theta1, theta2):

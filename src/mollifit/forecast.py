@@ -10,8 +10,6 @@ values mean the model beats the constant benchmark.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,6 +19,7 @@ from .estimate import FitOptions, fit
 from .exceptions import ConfigurationError, MollifitError
 from .losses import LossKind, LossSpec, eval_loss, subgrad
 from .model import Dataset, ModelSpec, ParamLayout, regression_mean
+from .parallel import parallel_map
 
 
 @dataclass
@@ -94,12 +93,12 @@ def _extract_columns(table: dict, config: ForecastConfig):
     return y, X, Z
 
 
-def _forecast_one(y, X, Z, config, opts, loss, t):
+def _forecast_one(y, X, Z, config, opts, t):
     """(model error, benchmark error, fallback flag) for forecast origin t."""
     w = config.window
     sl = slice(t - w, t)
     window_data = Dataset(y=y[sl], X=X[sl], Z=Z[sl])
-    bench = constant_predictor(y[sl], loss)
+    bench = constant_predictor(y[sl], opts.loss)
     fallback = False
     try:
         res = fit(config.model, window_data, opts)
@@ -112,8 +111,33 @@ def _forecast_one(y, X, Z, config, opts, loss, t):
     return y[t] - yhat, y[t] - bench, fallback
 
 
-def _forecast_span(y, X, Z, config, opts, loss, t_lo, t_hi):
-    return [_forecast_one(y, X, Z, config, opts, loss, t) for t in range(t_lo, t_hi)]
+def _rolling_forecasts(table: dict, config: ForecastConfig, losses, threads: int):
+    """``(pred_errors, bench_errors, fallback_count)`` per loss.
+
+    Every (loss, window) fit is independent, so all of them go through one
+    parallel map; each error series is assembled in time order.
+    """
+    y, X, Z = _extract_columns(table, config)
+    T = y.size
+    w = config.window
+    if T <= w:
+        raise ConfigurationError(f"need more than window={w} rows, got {T}")
+    tasks = []
+    for loss in losses:
+        opts = replace(config.fit_options or FitOptions(loss=loss), loss=loss)
+        tasks.extend((y, X, Z, config, opts, t) for t in range(w, T))
+    rows = parallel_map(_forecast_one, tasks, threads)
+    out = []
+    for k in range(len(losses)):
+        part = rows[k * (T - w) : (k + 1) * (T - w)]
+        out.append(
+            (
+                np.array([r[0] for r in part]),
+                np.array([r[1] for r in part]),
+                sum(r[2] for r in part),
+            )
+        )
+    return out
 
 
 def rolling_forecast(
@@ -128,30 +152,7 @@ def rolling_forecast(
     series is assembled in time order either way.
     """
     loss = loss if loss is not None else config.loss
-    y, X, Z = _extract_columns(table, config)
-    T = y.size
-    w = config.window
-    if T <= w:
-        raise ConfigurationError(f"need more than window={w} rows, got {T}")
-    base_opts = config.fit_options or FitOptions(loss=loss)
-    opts = replace(base_opts, loss=loss)
-    if threads <= 1:
-        rows = _forecast_span(y, X, Z, config, opts, loss, w, T)
-    else:
-        chunk = max(1, math.ceil((T - w) / (threads * 4)))
-        spans = [(lo, min(lo + chunk, T)) for lo in range(w, T, chunk)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_forecast_span, y, X, Z, config, opts, loss, lo, hi)
-                for lo, hi in spans
-            ]
-            rows = []
-            for f in futures:
-                rows.extend(f.result())
-    pred_errors = np.array([r[0] for r in rows])
-    bench_errors = np.array([r[1] for r in rows])
-    fallbacks = sum(r[2] for r in rows)
-    return pred_errors, bench_errors, fallbacks
+    return _rolling_forecasts(table, config, [loss], threads)[0]
 
 
 def pseudo_r2(pred_errors, bench_errors, loss: LossSpec) -> float:
@@ -174,13 +175,14 @@ def pseudo_r2(pred_errors, bench_errors, loss: LossSpec) -> float:
 
 def run_forecast(table: dict, config: ForecastConfig, threads: int = 1) -> list[ForecastReport]:
     """Forecast reports for the configured loss or each quantile level."""
-    reports = []
     if config.quantile_levels:
         losses = [LossSpec(LossKind.QUANTILE, tau) for tau in config.quantile_levels]
     else:
         losses = [config.loss]
-    for loss in losses:
-        pred, bench, fb = rolling_forecast(table, config, loss, threads=threads)
+    reports = []
+    for loss, (pred, bench, fb) in zip(
+        losses, _rolling_forecasts(table, config, losses, threads)
+    ):
         reports.append(
             ForecastReport(
                 window=config.window,

@@ -83,20 +83,6 @@ def link_deriv(link: LinkSpec, u):
     return (1.0 - 2.0 * u * u) * np.exp(-u * u)
 
 
-def link_second_deriv(link: LinkSpec, u):
-    u = np.asarray(u, dtype=float)
-    if link.kind is LinkKind.IDENTITY:
-        return np.zeros_like(u)
-    if link.kind is LinkKind.POWER:
-        k = link.power
-        return k * (k - 1) * u ** (k - 2)
-    if link.kind is LinkKind.GAUSS_PDF:
-        return (u * u - 1.0) * np.exp(-0.5 * u * u) / _SQRT_2PI
-    if link.kind is LinkKind.HERMITE_EXP:
-        return (4.0 * u * u - 2.0) * np.exp(-u * u)
-    return (4.0 * u * u * u - 6.0 * u) * np.exp(-u * u)
-
-
 @dataclass(frozen=True)
 class HRegular:
     """Asymptotically homogeneous class: g(lambda u) = lambda^k g(u)."""

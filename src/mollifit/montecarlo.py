@@ -12,7 +12,6 @@ McConfig regardless of the worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,6 +21,7 @@ from .estimate import FitOptions, fit
 from .exceptions import ConfigurationError, MollifitError, UndefinedRateError
 from .losses import LossKind, LossSpec
 from .model import ParamLayout
+from .parallel import parallel_map
 
 DEFAULT_REPS = 500
 
@@ -72,29 +72,25 @@ class McTable:
         return self.cells[(param, loss, law, n)]
 
 
-def _replicate_range(example, law, loss, n, base_seed, key, lo, hi, fit_options, start_at_truth, error_scale):
-    """Fit replications [lo, hi); returns (rep, errors-dict or None) pairs."""
-    out = []
+def _replicate(config: McConfig, cell, rep: int):
+    """Named estimation errors of one replication, or None if its fit failed."""
+    law, loss, n, key = cell
     recenter = loss.param if loss.kind is LossKind.QUANTILE else None
-    for rep in range(lo, hi):
-        rng = rng_for(base_seed, *key, rep)
-        data, model, truth = gen_example(
-            example, n, law, rng, recenter_tau=recenter, error_scale=error_scale
-        )
-        opts = replace(fit_options, loss=loss)
-        if start_at_truth:
-            opts = replace(opts, init_params=truth, multistart=1)
-        try:
-            res = fit(model, data, opts)
-        except MollifitError:
-            out.append((rep, None))
-            continue
-        if not res.converged:
-            out.append((rep, None))
-            continue
-        layout = ParamLayout(model)
-        out.append((rep, layout.named_errors(res.params, truth)))
-    return out
+    rng = rng_for(config.base_seed, *key, rep)
+    data, model, truth = gen_example(
+        config.example, n, law, rng, recenter_tau=recenter,
+        error_scale=config.error_scale,
+    )
+    opts = replace(config.fit_options, loss=loss)
+    if config.start_at_truth:
+        opts = replace(opts, init_params=truth, multistart=1)
+    try:
+        res = fit(model, data, opts)
+    except MollifitError:
+        return None
+    if not res.converged:
+        return None
+    return ParamLayout(model).named_errors(res.params, truth)
 
 
 def run_replications(config: McConfig) -> McTable:
@@ -114,41 +110,17 @@ def run_replications(config: McConfig) -> McTable:
         law_tokens=[l.value for l in config.laws],
         n_list=list(config.n_list),
     )
-    jobs = []
-    for li, law in enumerate(config.laws):
-        for si, loss in enumerate(config.losses):
-            for ni, n in enumerate(config.n_list):
-                key = (li, si, ni)
-                jobs.append((law, loss, n, key))
-    workers = max(1, config.threads)
-    for law, loss, n, key in jobs:
-        if workers == 1:
-            results = _replicate_range(
-                config.example, law, loss, n, config.base_seed, key, 0,
-                config.reps, config.fit_options, config.start_at_truth,
-                config.error_scale,
-            )
-        else:
-            chunk = max(1, math.ceil(config.reps / (workers * 4)))
-            spans = [
-                (lo, min(lo + chunk, config.reps))
-                for lo in range(0, config.reps, chunk)
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        _replicate_range,
-                        config.example, law, loss, n, config.base_seed, key,
-                        lo, hi, config.fit_options, config.start_at_truth,
-                        config.error_scale,
-                    )
-                    for lo, hi in spans
-                ]
-                results = []
-                for f in futures:
-                    results.extend(f.result())
-        results.sort(key=lambda pair: pair[0])
-        errors = [e for _, e in results if e is not None]
+    cells = [
+        (law, loss, n, (li, si, ni))
+        for li, law in enumerate(config.laws)
+        for si, loss in enumerate(config.losses)
+        for ni, n in enumerate(config.n_list)
+    ]
+    tasks = [(config, cell, rep) for cell in cells for rep in range(config.reps)]
+    results = parallel_map(_replicate, tasks, config.threads)
+    for c, (law, loss, n, _) in enumerate(cells):
+        cell_results = results[c * config.reps : (c + 1) * config.reps]
+        errors = [e for e in cell_results if e is not None]
         failures = config.reps - len(errors)
         flagged = failures > 0.2 * config.reps
         for pname in param_names:

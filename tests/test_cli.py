@@ -249,3 +249,79 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "mollifit" in capsys.readouterr().out
+
+
+def test_every_command_writes_a_sidecar(tmp_path):
+    data = tmp_path / "d.csv"
+    runs = {
+        "simulate": ["simulate", "--example", "ex51", "--n", "120", "--seed", "4",
+                     "--out", str(data)],
+        "fit": ["fit", "--data", str(data), "--example-model", "ex51",
+                "--out", str(tmp_path / "f.json")],
+        "mc": ["mc", "--example", "ex51", "--n", "50", "--reps", "2",
+               "--out", str(tmp_path / "m.csv")],
+        "forecast": ["forecast", "--data", str(data), "--window", "100",
+                     "--z-cols", "z1,z2", "--out", str(tmp_path / "c.csv")],
+        "loss-probe": ["loss-probe", "--loss", "lad", "--m", "100",
+                       "--grid=-1:1:0.5", "--out", str(tmp_path / "p.csv")],
+    }
+    for command, argv in runs.items():
+        assert run(argv) == 0, command
+        meta = json.loads((tmp_path / (argv[-1].split("/")[-1] + ".meta.json")).read_text())
+        assert meta["version"].startswith("mollifit "), command
+        assert isinstance(meta["resolved_config"], dict), command
+    fit_doc = json.loads((tmp_path / "f.json").read_text())
+    assert fit_doc["meta"] == json.loads((tmp_path / "f.json.meta.json").read_text())
+
+
+def _generic_sim_config(taps=None):
+    dgp = {"n": 60, "law": "normal"}
+    if taps is not None:
+        dgp["lin_proc_coeffs"] = taps
+    return {
+        "seed": 5,
+        "model": {"nonstat_links": ["identity"], "stat_links": ["identity"],
+                  "d1": 2, "d2": 1,
+                  "params": {"theta1": [[0.6, 0.8]], "gamma1": [1.0],
+                             "theta2": [[1.0]], "gamma2": [0.5]}},
+        "dgp": dgp,
+    }
+
+
+def _simulate_config(tmp_path, name, cfg, extra=()):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / f"{name}.csv"
+    return run(["simulate", "--config", str(path), *extra, "--out", str(out)]), out
+
+
+def _x_columns(path):
+    rows = path.read_text().strip().splitlines()
+    assert rows[0].split(",")[1:3] == ["x1", "x2"]
+    return np.array([[float(v) for v in r.split(",")[1:3]] for r in rows[1:]])
+
+
+def test_simulate_lin_proc_coeffs_take_effect_and_echo(tmp_path):
+    taps = [[[1.0, 0.0], [0.0, 1.0]], [[0.8, 0.0], [0.3, -0.5]]]
+    code, plain = _simulate_config(tmp_path, "plain", _generic_sim_config())
+    assert code == 0
+    code, tapped = _simulate_config(tmp_path, "tapped", _generic_sim_config(taps))
+    assert code == 0
+    assert not np.array_equal(_x_columns(plain), _x_columns(tapped))
+    meta = json.loads((tmp_path / "tapped.csv.meta.json").read_text())
+    assert meta["resolved_config"]["dgp"]["lin_proc_coeffs"] == taps
+    plain_meta = json.loads((tmp_path / "plain.csv.meta.json").read_text())
+    assert "lin_proc_coeffs" not in plain_meta["resolved_config"]["dgp"]
+    code, echoed = _simulate_config(tmp_path, "echo", meta["resolved_config"])
+    assert code == 0
+    assert echoed.read_bytes() == tapped.read_bytes()
+
+
+def test_simulate_rejects_bad_lin_proc_coeffs(tmp_path):
+    cfg = {"dgp": {"lin_proc_coeffs": [[[1.0, 0.0], [0.0, 1.0]]]}}
+    code, out = _simulate_config(tmp_path, "ex", cfg, ["--example", "ex51", "--n", "50"])
+    assert code == 2
+    assert not out.exists()
+    code, out = _simulate_config(tmp_path, "wide", _generic_sim_config([[[1.0]]]))
+    assert code == 2
+    assert not out.exists()

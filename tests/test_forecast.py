@@ -157,3 +157,14 @@ def test_threads_do_not_change_forecasts():
     np.testing.assert_array_equal(p1, p2)
     np.testing.assert_array_equal(b1, b2)
     assert f1 == f2
+
+
+def test_threads_do_not_change_quantile_reports():
+    table = _signal_table(60, 0.4, seed=13)
+    cfg = _config(25, loss=Q3, quantile_levels=[0.25, 0.5, 0.75])
+    one = run_forecast(table, cfg, threads=1)
+    two = run_forecast(table, cfg, threads=2)
+    assert report_csv(one) == report_csv(two)
+    for a, b in zip(one, two):
+        np.testing.assert_array_equal(a.pred_errors, b.pred_errors)
+        np.testing.assert_array_equal(a.bench_errors, b.bench_errors)
