@@ -27,6 +27,7 @@ from .dgp import (
     gen_example,
     rng_for,
     simulate_generic,
+    table_from_csv,
 )
 from .estimate import FitOptions, fit
 from .exceptions import ConfigurationError, MollifitError
@@ -123,11 +124,7 @@ def _check_keys(section: dict, allowed: set, path: str):
 def load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise IOError(f"cannot read config file {path}: {exc}") from exc
-    cfg = json.loads(text)
+    cfg = json.loads(_read_text(path, "config file"))
     _check_keys(cfg, _TOP_KEYS, "config")
     if "model" in cfg:
         _check_keys(cfg["model"], _MODEL_KEYS, "config.model")
@@ -190,6 +187,13 @@ def fit_options_from_config(section: dict, loss: LossSpec) -> FitOptions:
     if kwargs.get("multistart") is not None:
         kwargs["multistart"] = int(kwargs["multistart"])
     return FitOptions(loss=loss, **kwargs)
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise IOError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _write_text(path: str, text: str):
@@ -312,10 +316,7 @@ def cmd_fit(args) -> int:
         model = model_from_config(cfg["model"])
     else:
         raise ConfigurationError("fit needs --example-model or a model config section")
-    try:
-        data = dataset_from_csv(Path(args.data).read_text())
-    except OSError as exc:
-        raise IOError(f"cannot read dataset {args.data}: {exc}") from exc
+    data = dataset_from_csv(_read_text(args.data, "dataset"))
     opts = fit_options_from_config(cfg.get("fit", {}), loss)
     res = fit(model, data, opts)
     resolved = {
@@ -420,31 +421,6 @@ def cmd_mc(args) -> int:
     return 0
 
 
-def _read_table(path: str):
-    try:
-        lines = [ln for ln in Path(path).read_text().strip().splitlines() if ln]
-    except OSError as exc:
-        raise IOError(f"cannot read table {path}: {exc}") from exc
-    header = [h.strip() for h in lines[0].split(",")]
-    raw = {h: [] for h in header}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise ConfigurationError("ragged row in input table")
-        for h, v in zip(header, parts):
-            raw[h].append(v)
-    table = {}
-    dates = None
-    for h, vals in raw.items():
-        try:
-            table[h] = np.array([float(v) for v in vals])
-        except ValueError:
-            dates = list(vals)
-            table[h] = None
-    table = {k: v for k, v in table.items() if v is not None}
-    return table, dates
-
-
 def cmd_forecast(args) -> int:
     cfg = load_config(args.config)
     fc_cfg = dict(cfg.get("forecast", {}))
@@ -475,7 +451,7 @@ def cmd_forecast(args) -> int:
         if args.quantiles
         else fc_cfg.get("quantiles")
     )
-    table, dates = _read_table(args.data)
+    table, dates = table_from_csv(_read_text(args.data, "table"))
     config = ForecastConfig(
         window=int(window),
         loss=loss,
@@ -612,10 +588,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MollifitError as exc:
+    except (MollifitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IOError as exc:

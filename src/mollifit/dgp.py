@@ -322,22 +322,50 @@ def dataset_to_csv(data: Dataset) -> str:
     return "\n".join(rows) + "\n"
 
 
-def dataset_from_csv(text: str) -> Dataset:
-    """Parse a dataset CSV produced by :func:`dataset_to_csv`."""
+def table_from_csv(text: str) -> tuple[dict[str, np.ndarray], list[str] | None]:
+    """Parse a comma-separated table whose first line is the header.
+
+    Returns the numeric columns keyed by header name, and the raw values of
+    the first non-numeric column (the dates), or None when every column is
+    numeric.  Any further non-numeric column is dropped.
+    """
     lines = [ln for ln in text.strip().splitlines() if ln]
     if not lines:
-        raise ConfigurationError("empty dataset file")
+        raise ConfigurationError("table has no header row")
+    if len(lines) == 1:
+        raise ConfigurationError("table has a header but no data rows")
     header = [h.strip() for h in lines[0].split(",")]
-    if header[0] != "y":
-        raise ConfigurationError("dataset header must start with column 'y'")
-    d1 = sum(1 for h in header if h.startswith("x"))
-    d2 = sum(1 for h in header if h.startswith("z"))
-    if 1 + d1 + d2 != len(header):
-        raise ConfigurationError(f"unrecognized dataset columns in {header}")
-    body = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    if body.shape[1] != len(header):
-        raise ShapeError("row width does not match the header")
-    y = body[:, 0]
-    X = body[:, 1 : 1 + d1] if d1 else np.zeros((len(y), 1))
-    Z = body[:, 1 + d1 :] if d2 else np.zeros((len(y), 1))
-    return Dataset(y=y, X=X, Z=Z, meta={"columns": header})
+    rows = [ln.split(",") for ln in lines[1:]]
+    if any(len(r) != len(header) for r in rows):
+        raise ConfigurationError("ragged row in input table")
+    columns = {}
+    dates = None
+    for h, vals in zip(header, zip(*rows)):
+        try:
+            columns[h] = np.array([float(v) for v in vals])
+        except ValueError:
+            if dates is None:
+                dates = list(vals)
+    return columns, dates
+
+
+def dataset_from_csv(text: str) -> Dataset:
+    """Build a dataset from a CSV with numeric columns y, x1..x<d1>, z1..z<d2>.
+
+    Columns are picked by name, so their order in the file does not matter.
+    A block without columns becomes one zero column.
+    """
+    columns, dates = table_from_csv(text)
+    xs = [f"x{i + 1}" for i in range(sum(h.startswith("x") for h in columns))]
+    zs = [f"z{i + 1}" for i in range(sum(h.startswith("z") for h in columns))]
+    names = ["y"] + xs + zs
+    if dates is not None or set(columns) != set(names):
+        raise ConfigurationError(
+            "dataset columns must be numeric and named y, x1..x<d1>, z1..z<d2>; "
+            f"numeric columns found: {list(columns)}"
+        )
+    body = np.column_stack([columns[h] for h in names])
+    n, d1 = body.shape[0], len(xs)
+    X = body[:, 1 : 1 + d1] if xs else np.zeros((n, 1))
+    Z = body[:, 1 + d1 :] if zs else np.zeros((n, 1))
+    return Dataset(y=body[:, 0], X=X, Z=Z, meta={"columns": names})

@@ -46,11 +46,10 @@ from .model import (
     ParamLayout,
     ParamVector,
     _unitize,
-    link_deriv,
     link_value,
+    normalize,
     param_jacobian,
     regression_mean,
-    renormalize_for_fit,
     validate_params,
 )
 
@@ -171,31 +170,20 @@ def estimate_a2(residuals, loss: LossSpec, m) -> float:
     return float(np.mean(mollified_hess(loss, m, r)))
 
 
-def stationary_design(model: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
-    """Design rows of the stationary block: all index parts, then levels.
+def estimate_sigma(model: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
+    """Sample second moment ``J_s'J_s / n`` of the stationary Jacobian columns.
 
-    Row t is ``(-gamma_j g_j'(z' theta_j) z', ..., g_1(z' theta_1), ...)``,
-    of width p2*(d2+1).
+    ``J_s`` holds the theta2 and gamma2 columns of :func:`param_jacobian`,
+    the gradient of the regression mean that the delta method for the
+    stationary block needs.
     """
     if model.p2 == 0:
         raise EmptyBlockError("model has no stationary block")
-    validate_params(model, params)
-    Z = data.Z
-    if Z.shape[1] != model.d2:
-        raise ShapeError(f"Z must have {model.d2} columns")
-    cols = []
-    levels = []
-    for j, link in enumerate(model.stat_links):
-        u = Z @ params.theta2[j]
-        cols.append((-params.gamma2[j] * link_deriv(link, u))[:, None] * Z)
-        levels.append(link_value(link, u)[:, None])
-    return np.hstack(cols + levels)
-
-
-def estimate_sigma(model: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
-    """Sample second moment of the stationary design rows."""
-    Z2 = stationary_design(model, params, data)
-    return Z2.T @ Z2 / data.n
+    J = param_jacobian(model, params, data)
+    # A contiguous copy: the product then runs the same kernel as on a
+    # freshly built design, whatever the column offset.
+    J_s = np.ascontiguousarray(J[:, ParamLayout(model).gamma1_slice.stop :])
+    return J_s.T @ J_s / data.n
 
 
 def stationary_covariance(a1: float, a2: float, sigma_hat, n: int) -> np.ndarray:
@@ -375,7 +363,7 @@ def _backtrack(model, data, opts, engine, layout, flat, delta, L):
     if opts.max_step is not None and sup > opts.max_step:
         alpha = opts.max_step / sup
     for _ in range(_MAX_BACKTRACKS):
-        cand = renormalize_for_fit(layout.unpack(flat + alpha * delta), model)
+        cand = normalize(layout.unpack(flat + alpha * delta), model)
         e_c = data.y - regression_mean(model, cand, data.X, data.Z)
         L_c = engine.objective(e_c)
         if L_c < L:
@@ -385,7 +373,7 @@ def _backtrack(model, data, opts, engine, layout, flat, delta, L):
 
 
 def _minimize_one(model, data, opts, engine, start, m_target, layout):
-    params = renormalize_for_fit(start, model)
+    params = normalize(start, model)
     flat = layout.pack(params)
     e = data.y - regression_mean(model, params, data.X, data.Z)
     L = engine.objective(e)
@@ -397,7 +385,7 @@ def _minimize_one(model, data, opts, engine, start, m_target, layout):
     last_delta_sup = math.inf
     rungs = _rung_schedule(e, m_target, engine.smooth)
     eye = np.eye(layout.size)
-    names = layout.param_names()
+    names = {col: name for name, col in layout.scalars}
     for ri, m in enumerate(rungs):
         last = ri == len(rungs) - 1
         rung_tol = opts.tol if last else max(opts.tol, 0.03 / math.sqrt(2.0 * m))

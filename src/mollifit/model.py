@@ -9,6 +9,7 @@ identified by unit norm with a positive leading coordinate.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 import numpy as np
@@ -241,8 +242,9 @@ class ParamLayout:
     """Flat packing of a ParamVector, column-compatible with the Jacobian.
 
     Order: nonstationary theta blocks, gamma1, stationary theta blocks,
-    gamma2.  Also provides the conventional scalar parameter names used by the
-    Monte Carlo tables (gamma1, theta11, theta12, gamma2, ...).
+    gamma2.  ``scalars`` maps the conventional scalar parameter names of the
+    Monte Carlo tables (gamma1, theta11, theta12, gamma2, ...) to their flat
+    indices.
     """
 
     def __init__(self, model: ModelSpec):
@@ -261,6 +263,26 @@ class ParamLayout:
         self.gamma2_slice = slice(pos, pos + model.p2)
         pos += model.p2
         self.size = pos
+
+    @functools.cached_property
+    def scalars(self) -> list[tuple[str, int]]:
+        """(scalar name, flat index) in table order.
+
+        Each coefficient comes first, then the coordinates of its index
+        vector; a shared nonstationary index is listed once, after gamma1.
+        """
+        coefs = [
+            *range(self.gamma1_slice.start, self.gamma1_slice.stop),
+            *range(self.gamma2_slice.start, self.gamma2_slice.stop),
+        ]
+        index_cols = [range(sl.start, sl.stop) for sl in self.theta1_slices]
+        index_cols += [range(0)] * (self.model.p1 - self.model.n_theta1_blocks)
+        index_cols += [range(sl.start, sl.stop) for sl in self.theta2_slices]
+        out = []
+        for k, (c, cols) in enumerate(zip(coefs, index_cols), start=1):
+            out.append((f"gamma{k}", c))
+            out += [(f"theta{k}{i + 1}", col) for i, col in enumerate(cols)]
+        return out
 
     def pack(self, params: ParamVector) -> np.ndarray:
         flat = np.empty(self.size)
@@ -282,19 +304,7 @@ class ParamLayout:
 
     def param_names(self) -> list[str]:
         """Scalar names in table order: per block gamma then theta coords."""
-        model = self.model
-        names = []
-        for j in range(model.p1):
-            block = 1 if model.share_theta1 else j + 1
-            names.append(f"gamma{j + 1}")
-            if model.share_theta1 and j > 0:
-                continue
-            names.extend(f"theta{block}{i + 1}" for i in range(model.d1))
-        for j in range(model.p2):
-            g_idx = model.p1 + j + 1
-            names.append(f"gamma{g_idx}")
-            names.extend(f"theta{g_idx}{i + 1}" for i in range(model.d2))
-        return names
+        return [name for name, _ in self.scalars]
 
     def named_errors(self, est: ParamVector, truth: ParamVector) -> dict[str, float]:
         """Signed estimation errors keyed by scalar name, sign-aligned.
@@ -303,32 +313,13 @@ class ParamLayout:
         true one (theta' theta0 < 0) before differencing; coefficients are
         differenced directly.
         """
-        model = self.model
-        out = {}
-        th_est1 = [t.copy() for t in est.theta1]
-        for k, t in enumerate(th_est1):
-            if float(t @ truth.theta1[k]) < 0:
-                th_est1[k] = -t
-        th_est2 = [t.copy() for t in est.theta2]
-        for k, t in enumerate(th_est2):
-            if float(t @ truth.theta2[k]) < 0:
-                th_est2[k] = -t
-        for j in range(model.p1):
-            block = 0 if model.share_theta1 else j
-            out[f"gamma{j + 1}"] = float(est.gamma1[j] - truth.gamma1[j])
-            if model.share_theta1 and j > 0:
-                continue
-            diff = th_est1[block] - truth.theta1[block]
-            bname = 1 if model.share_theta1 else j + 1
-            for i in range(model.d1):
-                out[f"theta{bname}{i + 1}"] = float(diff[i])
-        for j in range(model.p2):
-            g_idx = model.p1 + j + 1
-            out[f"gamma{g_idx}"] = float(est.gamma2[j] - truth.gamma2[j])
-            diff = th_est2[j] - truth.theta2[j]
-            for i in range(model.d2):
-                out[f"theta{g_idx}{i + 1}"] = float(diff[i])
-        return out
+        aligned = est.copy()
+        for thetas, truths in ((aligned.theta1, truth.theta1), (aligned.theta2, truth.theta2)):
+            for k, t in enumerate(thetas):
+                if float(t @ truths[k]) < 0:
+                    thetas[k] = -t
+        diff = self.pack(aligned) - self.pack(truth)
+        return {name: float(diff[i]) for name, i in self.scalars}
 
 
 def _block_indices(model: ModelSpec, params: ParamVector):
@@ -412,58 +403,30 @@ def _unitize(theta: np.ndarray):
     return sign * unit, nrm, sign
 
 
+def _coefficient_factor(link: LinkSpec, nrm: float, sign: float) -> float:
+    """What a coefficient absorbs when its index vector is divided by nrm*sign."""
+    cls = classify_link(link)
+    if isinstance(cls, HRegular):
+        return nrm**cls.order * sign**cls.order
+    return sign if _is_odd_link(link) else 1.0
+
+
 def normalize(params: ParamVector, model: ModelSpec) -> ParamVector:
     """Rescale every index vector to unit norm with a positive lead.
 
-    Coefficients are compensated only for identity links (gamma picks up the
-    extracted norm and sign, so the regression mean is unchanged); for any
-    other link the coefficient is left alone and the caller re-optimizes.
+    Each coefficient absorbs what its link allows exactly, so the regression
+    mean is preserved wherever possible: an H-regular link of order k takes
+    ``(nrm*sign)^k`` and an odd link takes the sign.  For any other link the
+    coefficient is left alone and the caller re-optimizes.
     """
     validate_params(model, params)
     out = params.copy()
     for b in range(model.n_theta1_blocks):
-        unit, nrm, sign = _unitize(out.theta1[b])
-        out.theta1[b] = unit
+        out.theta1[b], nrm, sign = _unitize(out.theta1[b])
         for j, link in enumerate(model.nonstat_links):
-            jb = 0 if model.share_theta1 else j
-            if jb == b and link.kind is LinkKind.IDENTITY:
-                out.gamma1[j] *= nrm * sign
-    for b in range(model.p2):
-        unit, nrm, sign = _unitize(out.theta2[b])
-        out.theta2[b] = unit
-        if model.stat_links[b].kind is LinkKind.IDENTITY:
-            out.gamma2[b] *= nrm * sign
-    return out
-
-
-def renormalize_for_fit(params: ParamVector, model: ModelSpec) -> ParamVector:
-    """Normalization used inside the optimizer.
-
-    Same convention as :func:`normalize`, but compensates the coefficient
-    whenever the link allows it exactly: homogeneous links absorb the norm
-    as nrm^k and odd links absorb the sign flip, so the regression mean is
-    preserved wherever possible.
-    """
-    out = params.copy()
-    for b in range(model.n_theta1_blocks):
-        unit, nrm, sign = _unitize(out.theta1[b])
-        out.theta1[b] = unit
-        for j, link in enumerate(model.nonstat_links):
-            jb = 0 if model.share_theta1 else j
-            if jb != b:
-                continue
-            cls = classify_link(link)
-            if isinstance(cls, HRegular):
-                out.gamma1[j] *= nrm**cls.order * sign**cls.order
-            elif _is_odd_link(link):
-                out.gamma1[j] *= sign
-    for b in range(model.p2):
-        unit, nrm, sign = _unitize(out.theta2[b])
-        out.theta2[b] = unit
-        link = model.stat_links[b]
-        cls = classify_link(link)
-        if isinstance(cls, HRegular):
-            out.gamma2[b] *= nrm**cls.order * sign**cls.order
-        elif _is_odd_link(link):
-            out.gamma2[b] *= sign
+            if (0 if model.share_theta1 else j) == b:
+                out.gamma1[j] *= _coefficient_factor(link, nrm, sign)
+    for b, link in enumerate(model.stat_links):
+        out.theta2[b], nrm, sign = _unitize(out.theta2[b])
+        out.gamma2[b] *= _coefficient_factor(link, nrm, sign)
     return out

@@ -217,6 +217,33 @@ def test_forecast_cli(tmp_path):
                 "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_data_file_reader(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("y,x1,z1\n")
+    for data in (empty, header_only):
+        assert run(["fit", "--data", str(data), "--example-model", "ex51",
+                    "--out", str(tmp_path / "f.json")]) == 2, data.name
+        assert run(["forecast", "--data", str(data), "--window", "10", "--loss", "se",
+                    "--z-cols", "z1", "--out", str(tmp_path / "c.csv")]) == 2, data.name
+    # The first text column holds the dates; a later one is dropped.
+    rng = np.random.default_rng(3)
+    T = 40
+    x = rng.standard_normal(T)
+    y = 2.0 * x + 0.1 * rng.standard_normal(T)
+    rows = ["date,y,x1,label"] + [
+        f"2001-{i + 1:03d},{y[i]:.17g},{x[i]:.17g},lab{i}" for i in range(T)
+    ]
+    data = tmp_path / "panel.csv"
+    data.write_text("\n".join(rows) + "\n")
+    dump = tmp_path / "errs.csv"
+    assert run(["forecast", "--data", str(data), "--window", "30", "--loss", "se",
+                "--x-cols", "x1", "--dump", str(dump), "--out", str(tmp_path / "r.csv")]) == 0
+    dates = [ln.split(",")[1] for ln in dump.read_text().strip().splitlines()[1:]]
+    assert dates == [f"2001-{i + 1:03d}" for i in range(30, T)]
+
+
 def test_loss_probe_cli(tmp_path):
     out = tmp_path / "probe.csv"
     assert run(["loss-probe", "--loss", "lad", "--m", "100",

@@ -241,3 +241,12 @@ def test_dataset_csv_roundtrip():
     np.testing.assert_array_equal(back.y, data.y)
     np.testing.assert_array_equal(back.X, data.X)
     np.testing.assert_array_equal(back.Z, data.Z)
+    # Columns are picked by name, not by position.
+    order = [0, 3, 1, 4, 2]
+    rows = [ln.split(",") for ln in text.splitlines()]
+    permuted = "\n".join(",".join(r[i] for i in order) for r in rows) + "\n"
+    assert permuted.splitlines()[0] == "y,z1,x1,z2,x2"
+    back = dataset_from_csv(permuted)
+    np.testing.assert_array_equal(back.y, data.y)
+    np.testing.assert_array_equal(back.X, data.X)
+    np.testing.assert_array_equal(back.Z, data.Z)

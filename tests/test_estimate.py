@@ -34,6 +34,7 @@ from mollifit.model import (
     ModelSpec,
     ParamLayout,
     ParamVector,
+    param_jacobian,
     regression_mean,
 )
 
@@ -205,6 +206,20 @@ def test_estimate_sigma_examples():
     assert S.shape == (3, 3)
     np.testing.assert_allclose(S, S.T, atol=1e-12)
     np.testing.assert_allclose(S[:2, :2], np.eye(2), atol=0.02)
+    # Sigma-hat is the second moment of the stationary Jacobian columns,
+    # index part included with its own sign: the theta1-gamma entry is
+    # mean(z1^2), not its negative.
+    J_s = param_jacobian(ms, pv, data)
+    np.testing.assert_allclose(S, J_s.T @ J_s / n, rtol=1e-12, atol=0)
+    assert S[0, 2] == pytest.approx(np.mean(Z[:, 0] ** 2), rel=1e-12)
+    assert S[0, 2] > 0
+    # With a nonstationary block in front, J_s is the trailing theta2..gamma2
+    # columns of the full Jacobian.
+    ex, ms51, truth = gen_example("ex51", 200, ErrorLaw.NORMAL, rng_for(3, 0))
+    J_s = param_jacobian(ms51, truth, ex)[:, ParamLayout(ms51).theta2_slices[0].start :]
+    np.testing.assert_allclose(
+        estimate_sigma(ms51, truth, ex), J_s.T @ J_s / ex.n, rtol=1e-12, atol=1e-15
+    )
 
     zero = Dataset(np.zeros(10), np.zeros((10, 1)), np.zeros((10, 2)))
     np.testing.assert_array_equal(estimate_sigma(ms, pv, zero), np.zeros((3, 3)))

@@ -181,15 +181,27 @@ def test_normalize_examples():
     np.testing.assert_allclose(out.theta1[0], v, atol=1e-15)
 
 
-def test_normalize_preserves_identity_mean():
-    ms = ModelSpec((IDENTITY,), (IDENTITY,), 2, 2)
+def test_normalize_preserves_mean():
+    # H-regular links absorb the norm and the sign, odd links the sign: the
+    # odd non-homogeneous link therefore starts on the sphere, pointing away.
     rng = np.random.default_rng(4)
-    pv = ParamVector([np.array([3.0, -4.0])], [1.7], [np.array([-2.0, 1.0])], [0.3])
     X = rng.standard_normal((50, 2))
     Z = rng.standard_normal((50, 2))
-    before = regression_mean(ms, pv, X, Z)
-    after = regression_mean(ms, normalize(pv, ms), X, Z)
-    np.testing.assert_allclose(after, before, atol=1e-12)
+    cases = [
+        (IDENTITY, [3.0, -4.0], [-2.0, 1.0]),
+        (power_link(2), [3.0, -4.0], [-2.0, 1.0]),
+        (power_link(3), [-0.3, 0.4], [-2.0, 1.0]),
+        (HERMITE_EXP_LINEAR, [-0.6, 0.8], [-0.8, -0.6]),
+    ]
+    for link, t1, t2 in cases:
+        ms = ModelSpec((link,), (link,), 2, 2, share_theta1=True)
+        pv = ParamVector([np.array(t1)], [1.7], [np.array(t2)], [0.3])
+        before = regression_mean(ms, pv, X, Z)
+        out = normalize(pv, ms)
+        for t in out.theta1 + out.theta2:
+            assert np.linalg.norm(t) == pytest.approx(1.0) and t[0] > 0, link.label()
+        after = regression_mean(ms, out, X, Z)
+        np.testing.assert_allclose(after, before, rtol=1e-12, atol=1e-12, err_msg=link.label())
 
 
 def test_normalize_zero_vector_error():
