@@ -47,9 +47,10 @@ from .model import (
     ParamVector,
     _unitize,
     link_value,
-    normalize,
+    packed_jacobian,
+    packed_mean,
+    packed_normalize,
     param_jacobian,
-    regression_mean,
     validate_params,
 )
 
@@ -74,7 +75,6 @@ class FitOptions:
     loss_scale: float = 1.0
     track_descent: bool = False
     init_params: ParamVector | None = None
-    max_step: float | None = None
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -89,8 +89,6 @@ class FitOptions:
             raise ConfigurationError("m_epsilon must be positive")
         if self.loss_scale <= 0:
             raise ConfigurationError("loss_scale must be positive")
-        if self.max_step is not None and self.max_step <= 0:
-            raise ConfigurationError("max_step must be positive when set")
 
 
 @dataclass
@@ -208,89 +206,67 @@ def _sphere_point(counter: int, d: int) -> np.ndarray:
     return _unitize(z)[0]
 
 
-def _unit_or_default(vec: np.ndarray, d: int) -> np.ndarray:
-    """Unit ``vec`` with a positive lead; the first axis if ``vec`` is missing or near zero."""
-    nrm = float(np.linalg.norm(vec)) if vec is not None else 0.0
-    if vec is None or nrm < 1e-10 or not np.isfinite(nrm):
-        return np.eye(1, d)[0]
+def _unit_or_default(vec: np.ndarray) -> np.ndarray:
+    """Unit ``vec`` with a positive lead; the first axis if ``vec`` is near zero."""
+    nrm = float(np.linalg.norm(vec))
+    if nrm < 1e-10 or not np.isfinite(nrm):
+        return np.eye(1, vec.size)[0]
     return _unitize(vec)[0]
 
 
-def _gamma_refit(model, data, theta1, theta2):
-    """Least-squares coefficients given fixed index vectors."""
-    cols = []
-    for j, link in enumerate(model.nonstat_links):
-        t = theta1[0] if model.share_theta1 else theta1[j]
-        cols.append(link_value(link, data.X @ t)[:, None])
-    for j, link in enumerate(model.stat_links):
-        cols.append(link_value(link, data.Z @ theta2[j])[:, None])
-    G = np.hstack(cols) if cols else np.zeros((data.n, 0))
+def _gamma_refit(layout: ParamLayout, data: Dataset, flat: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients given the index vectors in ``flat``, written into it."""
+    G = np.column_stack([
+        link_value(t.link, (data.Z if t.stationary else data.X) @ flat[t.theta])
+        for t in layout.terms
+    ])
     coef, *_ = np.linalg.lstsq(G, data.y, rcond=None)
     coef = np.where(np.isfinite(coef), coef, 0.0)
-    return ParamVector(
-        [t.copy() for t in theta1],
-        coef[: model.p1],
-        [t.copy() for t in theta2],
-        coef[model.p1 :],
-    )
+    for t, c in zip(layout.terms, coef):
+        flat[t.gamma] = c
+    return flat
 
 
-def _build_starts(model: ModelSpec, data: Dataset, n_starts: int, init: ParamVector | None = None):
-    """Least-squares warm start plus deterministic sphere starts.
+def _build_starts(layout: ParamLayout, data: Dataset, n_starts: int, init: ParamVector | None = None):
+    """Packed least-squares warm start plus deterministic sphere starts.
 
     An explicit ``init`` replaces the warm start as start 0 (used e.g. by
-    the Monte Carlo harness to anchor fits at the simulation truth).
+    the Monte Carlo harness to anchor fits at the simulation truth).  The
+    sphere starts vary the index vectors used by a nonlinear link, or every
+    index vector when all links are linear.
     """
     if init is not None:
-        validate_params(model, init)
-    blocks = []
-    if model.p1 > 0:
-        blocks.append(data.X)
-    if model.p2 > 0:
-        blocks.append(data.Z)
-    A = np.hstack(blocks)
-    coef, *_ = np.linalg.lstsq(A, data.y, rcond=None)
+        validate_params(layout.model, init)
+    # Every index vector on X (then Z) starts at the unit direction of the
+    # X (Z) coefficients in one least-squares fit on the blocks in use.
+    used = sorted({t.stationary for t in layout.terms})
+    blocks = [data.Z if stationary else data.X for stationary in used]
+    coef, *_ = np.linalg.lstsq(np.hstack(blocks), data.y, rcond=None)
+    direction = {}
     pos = 0
-    bx = None
-    if model.p1 > 0:
-        bx = coef[pos : pos + model.d1]
-        pos += model.d1
-    bz = coef[pos : pos + model.d2] if model.p2 > 0 else None
-    theta_x = _unit_or_default(bx, model.d1)
-    theta_z = _unit_or_default(bz, model.d2)
-    warm_theta1 = [theta_x.copy() for _ in range(model.n_theta1_blocks)]
-    warm_theta2 = [theta_z.copy() for _ in range(model.p2)]
+    for stationary, A in zip(used, blocks):
+        direction[stationary] = _unit_or_default(coef[pos : pos + A.shape[1]])
+        pos += A.shape[1]
+    warm = np.zeros(layout.size)
+    for t in layout.terms:
+        warm[t.theta] = direction[t.stationary]
     if init is not None:
-        starts = [init.copy()]
+        starts = [layout.pack(init)]
     else:
-        starts = [_gamma_refit(model, data, warm_theta1, warm_theta2)]
+        starts = [_gamma_refit(layout, data, warm.copy())]
 
-    nl1 = [
-        b
-        for b in range(model.n_theta1_blocks)
-        if any(
-            model.nonstat_links[j].kind is not LinkKind.IDENTITY
-            for j in ((range(model.p1)) if model.share_theta1 else [b])
-        )
-    ]
-    nl2 = [
-        b for b in range(model.p2) if model.stat_links[b].kind is not LinkKind.IDENTITY
-    ]
-    vary1, vary2 = nl1, nl2
-    if not nl1 and not nl2:
-        vary1 = list(range(model.n_theta1_blocks))
-        vary2 = list(range(model.p2))
+    vary = [
+        theta
+        for theta, terms in layout.index_blocks
+        if any(t.link.kind is not LinkKind.IDENTITY for t in terms)
+    ] or [theta for theta, _ in layout.index_blocks]
     counter = 0
     for _ in range(1, n_starts):
-        t1 = [t.copy() for t in warm_theta1]
-        t2 = [t.copy() for t in warm_theta2]
-        for b in vary1:
-            t1[b] = _sphere_point(counter, model.d1)
+        flat = warm.copy()
+        for theta in vary:
+            flat[theta] = _sphere_point(counter, theta.stop - theta.start)
             counter += 1
-        for b in vary2:
-            t2[b] = _sphere_point(counter, model.d2)
-            counter += 1
-        starts.append(_gamma_refit(model, data, t1, t2))
+        starts.append(_gamma_refit(layout, data, flat))
     return starts
 
 
@@ -340,7 +316,8 @@ def _rung_schedule(e0: np.ndarray, m_target: float, smooth: bool):
 
 @dataclass
 class _StartOutcome:
-    params: ParamVector
+    flat: np.ndarray
+    residuals: np.ndarray
     objective: float
     start_objective: float
     iterations: int
@@ -348,23 +325,17 @@ class _StartOutcome:
     trace: list[float] = field(default_factory=list)
 
 
-def _backtrack(model, data, opts, engine, layout, flat, delta, L):
+def _backtrack(layout, data, opts, engine, flat, delta, L):
     """First point on ``flat + alpha*delta`` that lowers the exact objective.
 
     ``alpha`` starts at 1 and is multiplied by ``opts.damping`` after every
-    refusal.  Returns ``(params, residuals, objective)``, or None when all
-    backtracks are refused.
+    refusal.  Returns ``(flat, residuals, objective)`` at the normalized
+    point, or None when all backtracks are refused.
     """
-    # Optional trust-region-style cap on the proposed move keeps the
-    # iteration in the local basin (used by the truth-anchored Monte Carlo
-    # protocol).
     alpha = 1.0
-    sup = float(np.max(np.abs(delta)))
-    if opts.max_step is not None and sup > opts.max_step:
-        alpha = opts.max_step / sup
     for _ in range(_MAX_BACKTRACKS):
-        cand = normalize(layout.unpack(flat + alpha * delta), model)
-        e_c = data.y - regression_mean(model, cand, data.X, data.Z)
+        cand = packed_normalize(layout, flat + alpha * delta)
+        e_c = data.y - packed_mean(layout, cand, data.X, data.Z)
         L_c = engine.objective(e_c)
         if L_c < L:
             return cand, e_c, L_c
@@ -372,10 +343,9 @@ def _backtrack(model, data, opts, engine, layout, flat, delta, L):
     return None
 
 
-def _minimize_one(model, data, opts, engine, start, m_target, layout):
-    params = normalize(start, model)
-    flat = layout.pack(params)
-    e = data.y - regression_mean(model, params, data.X, data.Z)
+def _minimize_one(layout, data, opts, engine, start, m_target):
+    flat = packed_normalize(layout, start)
+    e = data.y - packed_mean(layout, flat, data.X, data.Z)
     L = engine.objective(e)
     L_start = L
     trace = [L]
@@ -395,7 +365,7 @@ def _minimize_one(model, data, opts, engine, start, m_target, layout):
         stalled = False
         exact = False
         for _ in range(budget):
-            J = param_jacobian(model, params, data)
+            J = packed_jacobian(layout, flat, data.X, data.Z)
             g = J.T @ (subgrad(engine.loss, e) if exact else engine.score(e, m))
             w = engine.weights(e, m)
             H = (J * w[:, None]).T @ J
@@ -414,7 +384,7 @@ def _minimize_one(model, data, opts, engine, start, m_target, layout):
                 if last:
                     converged = True
                 break
-            found = _backtrack(model, data, opts, engine, layout, flat, delta, L)
+            found = _backtrack(layout, data, opts, engine, flat, delta, L)
             if found is None and last and engine.smooth and not accepted_any:
                 # A residual within a kernel width of a kink can tip the
                 # smoothed score uphill for the exact objective, which would
@@ -426,15 +396,14 @@ def _minimize_one(model, data, opts, engine, start, m_target, layout):
                 exact = True
                 g = J.T @ subgrad(engine.loss, e)
                 delta = _solve_spd(H, g, context="newton step", names=names)
-                found = _backtrack(model, data, opts, engine, layout, flat, delta, L)
+                found = _backtrack(layout, data, opts, engine, flat, delta, L)
             iters += 1
             if found is None:
                 stalled = True
                 break
             cand, e_c, L_c = found
-            cand_flat = layout.pack(cand)
-            step = float(np.max(np.abs(cand_flat - flat)))
-            params, flat, e, L = cand, cand_flat, e_c, L_c
+            step = float(np.max(np.abs(cand - flat)))
+            flat, e, L = cand, e_c, L_c
             accepted_any = True
             trace.append(L)
             if step < rung_tol:
@@ -447,7 +416,7 @@ def _minimize_one(model, data, opts, engine, start, m_target, layout):
             # stall on the very first step only counts when the proposed
             # step was already negligible (start at the optimum).
             converged = True
-    return _StartOutcome(params, L, L_start, iters, converged, trace)
+    return _StartOutcome(flat, e, L, L_start, iters, converged, trace)
 
 
 def fit(model: ModelSpec, data: Dataset, opts: FitOptions) -> FitResult:
@@ -459,39 +428,37 @@ def fit(model: ModelSpec, data: Dataset, opts: FitOptions) -> FitResult:
     objective, ties broken by the lowest start index.
     """
     n = data.n
-    d_used = max(
-        model.d1 if model.p1 else 0, model.d2 if model.p2 else 0
-    )
-    if n < d_used + model.p1 + model.p2 + 1:
+    layout = ParamLayout(model)
+    layout.check_widths(data.X, data.Z)
+    d_used = max(t.theta.stop - t.theta.start for t in layout.terms)
+    if n < d_used + len(layout.terms) + 1:
         raise ShapeError(
-            f"need n >= {d_used + model.p1 + model.p2 + 1} rows for this model, got {n}"
+            f"need n >= {d_used + len(layout.terms) + 1} rows for this model, got {n}"
         )
-    identity_only = all(
-        l.kind is LinkKind.IDENTITY for l in model.nonstat_links + model.stat_links
-    )
+    identity_only = all(t.link.kind is LinkKind.IDENTITY for t in layout.terms)
     n_starts = opts.multistart if opts.multistart is not None else (1 if identity_only else 8)
     engine = _LossEngine(opts.loss)
-    m_target = float(math.floor(n ** (2.0 + opts.m_epsilon)))
-    layout = ParamLayout(model)
-    starts = _build_starts(model, data, n_starts, opts.init_params)
+    m_order = MollifierOrder.from_sample_size(n, opts.m_epsilon)
+    starts = _build_starts(layout, data, n_starts, opts.init_params)
     best: _StartOutcome | None = None
     best_index = 0
     for si, start in enumerate(starts):
-        out = _minimize_one(model, data, opts, engine, start, m_target, layout)
+        out = _minimize_one(layout, data, opts, engine, start, m_order.m)
         if best is None or out.objective < best.objective:
             best, best_index = out, si
-    res = data.y - regression_mean(model, best.params, data.X, data.Z)
+    params = layout.unpack(best.flat)
+    res = best.residuals
     a1 = estimate_a1(res, opts.loss)
-    a2 = estimate_a2(res, opts.loss, MollifierOrder(m_target))
+    a2 = estimate_a2(res, opts.loss, m_order)
     sigma_hat = None
     stat_cov = None
     if model.p2 > 0:
-        sigma_hat = estimate_sigma(model, best.params, data)
+        sigma_hat = estimate_sigma(model, params, data)
         if a2 > 0:
             stat_cov = stationary_covariance(a1, a2, sigma_hat, n)
     k = opts.loss_scale
     return FitResult(
-        params=best.params,
+        params=params,
         objective=k * (best.objective - best.start_objective),
         a1_hat=a1,
         a2_hat=a2,
@@ -501,6 +468,6 @@ def fit(model: ModelSpec, data: Dataset, opts: FitOptions) -> FitResult:
         converged=best.converged,
         residuals=res,
         start_index=best_index,
-        mollifier_m=m_target,
+        mollifier_m=m_order.m,
         descent_trace=[k * v for v in best.trace] if opts.track_descent else None,
     )

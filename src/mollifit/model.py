@@ -12,6 +12,10 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
+from typing import NamedTuple
+
 import numpy as np
 
 from .exceptions import (
@@ -161,15 +165,6 @@ class ModelSpec:
             return 0
         return 1 if self.share_theta1 else self.p1
 
-    @property
-    def n_params(self) -> int:
-        return (
-            self.n_theta1_blocks * self.d1
-            + self.p1
-            + self.p2 * self.d2
-            + self.p2
-        )
-
 
 @dataclass
 class ParamVector:
@@ -238,13 +233,28 @@ class Dataset:
         return self.y.size
 
 
+class Term(NamedTuple):
+    """One additive term ``flat[gamma] * link(A @ flat[theta])``.
+
+    ``A`` is the regressor block Z when ``stationary`` is set and X
+    otherwise; terms sharing an index vector share one ``theta`` slice.
+    """
+
+    link: LinkSpec
+    stationary: bool
+    theta: slice
+    gamma: int
+
+
 class ParamLayout:
     """Flat packing of a ParamVector, column-compatible with the Jacobian.
 
     Order: nonstationary theta blocks, gamma1, stationary theta blocks,
-    gamma2.  ``scalars`` maps the conventional scalar parameter names of the
-    Monte Carlo tables (gamma1, theta11, theta12, gamma2, ...) to their flat
-    indices.
+    gamma2.  ``terms`` is the table of additive terms, nonstationary first,
+    so the terms of a shared nonstationary index are adjacent;
+    ``index_blocks`` groups them by index vector.  The table is the one
+    reader of the block split and of ``share_theta1``: the mean, the
+    Jacobian, ``normalize`` and the names each loop over it.
     """
 
     def __init__(self, model: ModelSpec):
@@ -263,26 +273,43 @@ class ParamLayout:
         self.gamma2_slice = slice(pos, pos + model.p2)
         pos += model.p2
         self.size = pos
+        self.terms = tuple(
+            Term(link, False, self.theta1_slices[0 if model.share_theta1 else j],
+                 self.gamma1_slice.start + j)
+            for j, link in enumerate(model.nonstat_links)
+        ) + tuple(
+            Term(link, True, self.theta2_slices[j], self.gamma2_slice.start + j)
+            for j, link in enumerate(model.stat_links)
+        )
+        # (theta slice, the terms that use it) per index vector.
+        self.index_blocks = [
+            (theta, list(terms)) for theta, terms in groupby(self.terms, key=attrgetter("theta"))
+        ]
 
     @functools.cached_property
     def scalars(self) -> list[tuple[str, int]]:
         """(scalar name, flat index) in table order.
 
         Each coefficient comes first, then the coordinates of its index
-        vector; a shared nonstationary index is listed once, after gamma1.
+        vector; a shared index vector is listed once, with its first term.
         """
-        coefs = [
-            *range(self.gamma1_slice.start, self.gamma1_slice.stop),
-            *range(self.gamma2_slice.start, self.gamma2_slice.stop),
-        ]
-        index_cols = [range(sl.start, sl.stop) for sl in self.theta1_slices]
-        index_cols += [range(0)] * (self.model.p1 - self.model.n_theta1_blocks)
-        index_cols += [range(sl.start, sl.stop) for sl in self.theta2_slices]
         out = []
-        for k, (c, cols) in enumerate(zip(coefs, index_cols), start=1):
-            out.append((f"gamma{k}", c))
-            out += [(f"theta{k}{i + 1}", col) for i, col in enumerate(cols)]
+        k = 0
+        for theta, terms in self.index_blocks:
+            for i, t in enumerate(terms):
+                k += 1
+                out.append((f"gamma{k}", t.gamma))
+                if i == 0:
+                    out += [(f"theta{k}{c - theta.start + 1}", c) for c in range(theta.start, theta.stop)]
         return out
+
+    def check_widths(self, X, Z):
+        """Raise ShapeError unless every used regressor block has its index width."""
+        for t in self.terms:
+            A, name = (Z, "z") if t.stationary else (X, "x")
+            width = t.theta.stop - t.theta.start
+            if A.shape[1] != width:
+                raise ShapeError(f"{name} must have {width} columns, got {A.shape[1]}")
 
     def pack(self, params: ParamVector) -> np.ndarray:
         flat = np.empty(self.size)
@@ -313,20 +340,32 @@ class ParamLayout:
         true one (theta' theta0 < 0) before differencing; coefficients are
         differenced directly.
         """
-        aligned = est.copy()
-        for thetas, truths in ((aligned.theta1, truth.theta1), (aligned.theta2, truth.theta2)):
-            for k, t in enumerate(thetas):
-                if float(t @ truths[k]) < 0:
-                    thetas[k] = -t
-        diff = self.pack(aligned) - self.pack(truth)
+        aligned, ref = self.pack(est), self.pack(truth)
+        for theta, _ in self.index_blocks:
+            if float(aligned[theta] @ ref[theta]) < 0:
+                aligned[theta] = -aligned[theta]
+        diff = aligned - ref
         return {name: float(diff[i]) for name, i in self.scalars}
 
 
-def _block_indices(model: ModelSpec, params: ParamVector):
-    """(link, theta, gamma) triples for the nonstationary block."""
-    for j, link in enumerate(model.nonstat_links):
-        t = params.theta1[0] if model.share_theta1 else params.theta1[j]
-        yield link, t, params.gamma1[j]
+def packed_mean(layout: ParamLayout, flat: np.ndarray, X, Z) -> np.ndarray:
+    """Regression mean over the rows of X and Z at the packed parameters."""
+    out = np.zeros(max(X.shape[0], Z.shape[0]))
+    for t in layout.terms:
+        A = Z if t.stationary else X
+        out += flat[t.gamma] * link_value(t.link, A @ flat[t.theta])
+    return out
+
+
+def packed_jacobian(layout: ParamLayout, flat: np.ndarray, X, Z) -> np.ndarray:
+    """Row-wise derivative of :func:`packed_mean` in the packed parameters."""
+    J = np.zeros((X.shape[0], layout.size))
+    for t in layout.terms:
+        A = Z if t.stationary else X
+        u = A @ flat[t.theta]
+        J[:, t.theta] += (flat[t.gamma] * link_deriv(t.link, u))[:, None] * A
+        J[:, t.gamma] = link_value(t.link, u)
+    return J
 
 
 def regression_mean(model: ModelSpec, params: ParamVector, x, z):
@@ -337,15 +376,9 @@ def regression_mean(model: ModelSpec, params: ParamVector, x, z):
     single = x.ndim == 1 and z.ndim == 1
     X = np.atleast_2d(x)
     Z = np.atleast_2d(z)
-    if model.p1 > 0 and X.shape[1] != model.d1:
-        raise ShapeError(f"x must have {model.d1} columns, got {X.shape[1]}")
-    if model.p2 > 0 and Z.shape[1] != model.d2:
-        raise ShapeError(f"z must have {model.d2} columns, got {Z.shape[1]}")
-    out = np.zeros(max(X.shape[0], Z.shape[0]))
-    for link, theta, gamma in _block_indices(model, params):
-        out += gamma * link_value(link, X @ theta)
-    for j, link in enumerate(model.stat_links):
-        out += params.gamma2[j] * link_value(link, Z @ params.theta2[j])
+    layout = ParamLayout(model)
+    layout.check_widths(X, Z)
+    out = packed_mean(layout, layout.pack(params), X, Z)
     return float(out[0]) if single else out
 
 
@@ -364,30 +397,8 @@ def param_jacobian(model: ModelSpec, params: ParamVector, data: Dataset) -> np.n
     """
     validate_params(model, params)
     layout = ParamLayout(model)
-    n = data.n
-    J = np.zeros((n, layout.size))
-    X, Z = data.X, data.Z
-    if model.p1 > 0:
-        if X.shape[1] != model.d1:
-            raise ShapeError(f"X must have {model.d1} columns")
-        for j, link in enumerate(model.nonstat_links):
-            block = 0 if model.share_theta1 else j
-            theta = params.theta1[block]
-            u = X @ theta
-            J[:, layout.theta1_slices[block]] += (
-                params.gamma1[j] * link_deriv(link, u)
-            )[:, None] * X
-            J[:, layout.gamma1_slice.start + j] = link_value(link, u)
-    if model.p2 > 0:
-        if Z.shape[1] != model.d2:
-            raise ShapeError(f"Z must have {model.d2} columns")
-        for j, link in enumerate(model.stat_links):
-            u = Z @ params.theta2[j]
-            J[:, layout.theta2_slices[j]] = (
-                params.gamma2[j] * link_deriv(link, u)
-            )[:, None] * Z
-            J[:, layout.gamma2_slice.start + j] = link_value(link, u)
-    return J
+    layout.check_widths(data.X, data.Z)
+    return packed_jacobian(layout, layout.pack(params), data.X, data.Z)
 
 
 def _unitize(theta: np.ndarray):
@@ -411,6 +422,15 @@ def _coefficient_factor(link: LinkSpec, nrm: float, sign: float) -> float:
     return sign if _is_odd_link(link) else 1.0
 
 
+def packed_normalize(layout: ParamLayout, flat: np.ndarray) -> np.ndarray:
+    """:func:`normalize` on a packed vector, which it overwrites and returns."""
+    for theta, terms in layout.index_blocks:
+        flat[theta], nrm, sign = _unitize(flat[theta])
+        for t in terms:
+            flat[t.gamma] *= _coefficient_factor(t.link, nrm, sign)
+    return flat
+
+
 def normalize(params: ParamVector, model: ModelSpec) -> ParamVector:
     """Rescale every index vector to unit norm with a positive lead.
 
@@ -420,13 +440,5 @@ def normalize(params: ParamVector, model: ModelSpec) -> ParamVector:
     coefficient is left alone and the caller re-optimizes.
     """
     validate_params(model, params)
-    out = params.copy()
-    for b in range(model.n_theta1_blocks):
-        out.theta1[b], nrm, sign = _unitize(out.theta1[b])
-        for j, link in enumerate(model.nonstat_links):
-            if (0 if model.share_theta1 else j) == b:
-                out.gamma1[j] *= _coefficient_factor(link, nrm, sign)
-    for b, link in enumerate(model.stat_links):
-        out.theta2[b], nrm, sign = _unitize(out.theta2[b])
-        out.gamma2[b] *= _coefficient_factor(link, nrm, sign)
-    return out
+    layout = ParamLayout(model)
+    return layout.unpack(packed_normalize(layout, layout.pack(params)))

@@ -16,14 +16,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dgp import ErrorLaw, gen_example, rng_for
+from .dgp import ErrorLaw, example_model, gen_example, rng_for
 from .estimate import FitOptions, fit
 from .exceptions import ConfigurationError, MollifitError, UndefinedRateError
 from .losses import LossKind, LossSpec
 from .model import ParamLayout
 from .parallel import parallel_map
-
-DEFAULT_REPS = 500
 
 
 @dataclass
@@ -100,8 +98,6 @@ def run_replications(config: McConfig) -> McTable:
     from the moments; a cell with more than 20% failures is flagged but the
     run continues.
     """
-    from .dgp import example_model
-
     model, _ = example_model(config.example)
     param_names = ParamLayout(model).param_names()
     table = McTable(

@@ -165,6 +165,16 @@ def test_fit_needs_enough_rows():
         fit(ms, data, FitOptions(loss=LAD))
 
 
+@pytest.mark.parametrize("x_cols,z_cols", [(3, 2), (2, 3), (1, 2), (2, 1)])
+def test_fit_checks_regressor_widths(x_cols, z_cols):
+    ms = ModelSpec((IDENTITY,), (IDENTITY,), 2, 2)
+    rng = np.random.default_rng(5)
+    data = Dataset(rng.standard_normal(50), rng.standard_normal((50, x_cols)),
+                   rng.standard_normal((50, z_cols)))
+    with pytest.raises(ShapeError):
+        fit(ms, data, FitOptions(loss=LAD))
+
+
 def test_estimate_a1_examples():
     rng = np.random.default_rng(1)
     r = rng.standard_normal(5000)
@@ -294,22 +304,6 @@ def test_fit_leaves_start_when_smoothed_step_points_uphill():
     assert res.converged
     assert res.objective < 0
     assert res.params.gamma2[0] * res.params.theta2[0][0] == pytest.approx(exact, abs=1e-8)
-
-
-def test_fit_max_step_caps_first_move():
-    data, spec, truth = gen_example("ex51", 100, ErrorLaw.NORMAL, rng_for(92, 0))
-    layout = ParamLayout(spec)
-    start = layout.pack(truth)
-    res = fit(
-        spec, data,
-        FitOptions(loss=HUB, init_params=truth, multistart=1, max_step=0.05,
-                   max_iter=1),
-    )
-    moved = np.max(np.abs(layout.pack(res.params) - start))
-    # Renormalization can nudge the capped step, but not by much.
-    assert moved <= 0.1
-    with pytest.raises(ConfigurationError):
-        FitOptions(loss=HUB, max_step=0.0)
 
 
 def test_fit_single_block_models():

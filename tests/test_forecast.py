@@ -120,17 +120,18 @@ def test_constant_predictor_minimizes_loss():
 
 def test_fallback_on_fit_failure():
     # Model expects a two-column stationary block while the table provides
-    # one; every window fit fails and falls back to the benchmark.
+    # fewer or more; every window fit fails and falls back to the benchmark.
     T = 40
     rng = np.random.default_rng(11)
-    table = {"y": rng.standard_normal(T), "z1": rng.standard_normal(T)}
-    cfg = ForecastConfig(
-        window=20, loss=SQUARED_ERROR, model=_stat_model(2),
-        x_cols=[], z_cols=["z1"], y_col="y",
-    )
-    pred, bench, fb = rolling_forecast(table, cfg)
-    assert fb == T - 20
-    np.testing.assert_array_equal(pred, bench)
+    table = {c: rng.standard_normal(T) for c in ("y", "z1", "z2", "z3")}
+    for z_cols in (["z1"], ["z1", "z2", "z3"]):
+        cfg = ForecastConfig(
+            window=20, loss=SQUARED_ERROR, model=_stat_model(2),
+            x_cols=[], z_cols=z_cols, y_col="y",
+        )
+        pred, bench, fb = rolling_forecast(table, cfg)
+        assert fb == T - 20, z_cols
+        np.testing.assert_array_equal(pred, bench)
 
 
 def test_window_validation():

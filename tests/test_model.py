@@ -193,15 +193,24 @@ def test_normalize_preserves_mean():
         (power_link(3), [-0.3, 0.4], [-2.0, 1.0]),
         (HERMITE_EXP_LINEAR, [-0.6, 0.8], [-0.8, -0.6]),
     ]
-    for link, t1, t2 in cases:
-        ms = ModelSpec((link,), (link,), 2, 2, share_theta1=True)
-        pv = ParamVector([np.array(t1)], [1.7], [np.array(t2)], [0.3])
+    models = [
+        (ModelSpec((link,), (link,), 2, 2, share_theta1=True),
+         ParamVector([np.array(t1)], [1.7], [np.array(t2)], [0.3]))
+        for link, t1, t2 in cases
+    ]
+    # One shared index absorbed by several coefficients, each by its own order.
+    models.append((
+        ModelSpec((IDENTITY, power_link(2), power_link(3)), (IDENTITY,), 2, 2, share_theta1=True),
+        ParamVector([np.array([-3.0, 4.0])], [1.7, -0.4, 0.9], [np.array([-2.0, 1.0])], [0.3]),
+    ))
+    for ms, pv in models:
+        label = ",".join(l.label() for l in ms.nonstat_links)
         before = regression_mean(ms, pv, X, Z)
         out = normalize(pv, ms)
         for t in out.theta1 + out.theta2:
-            assert np.linalg.norm(t) == pytest.approx(1.0) and t[0] > 0, link.label()
+            assert np.linalg.norm(t) == pytest.approx(1.0) and t[0] > 0, label
         after = regression_mean(ms, out, X, Z)
-        np.testing.assert_allclose(after, before, rtol=1e-12, atol=1e-12, err_msg=link.label())
+        np.testing.assert_allclose(after, before, rtol=1e-12, atol=1e-12, err_msg=label)
 
 
 def test_normalize_zero_vector_error():
