@@ -1,10 +1,12 @@
 """Command-line interface: simulate, fit, mc, forecast, loss-probe.
 
 Exit codes: 0 success, 1 fit did not converge, 2 usage/configuration
-error, 3 I/O failure.  Every run echoes its fully resolved configuration
-into the output metadata so the exact run can be reproduced from the
-sidecar alone.  Primary outputs are byte-deterministic given (flags,
-config file, seed); progress goes to stderr only.
+error, 3 I/O failure.  Every option a command takes from a flag or a
+config key is one row of ``OPTIONS``; ``resolve`` settles each row and
+every run echoes the resolved options into the output metadata, so the
+exact run can be reproduced from the sidecar alone.  Primary outputs are
+byte-deterministic given (flags, config file, seed); progress goes to
+stderr only.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,6 +38,7 @@ from .estimate import FitOptions, fit
 from .exceptions import ConfigurationError, MollifitError
 from .forecast import ForecastConfig, error_dump_csv, report_csv, run_forecast
 from .losses import (
+    LAD,
     LossKind,
     LossSpec,
     MollifierOrder,
@@ -54,12 +60,14 @@ from .montecarlo import McConfig, rate_exponent, run_replications, summarize
 
 BUILD_ID = f"mollifit {__version__}"
 
+_EXAMPLES = ("ex51", "ex52")
 _LOSS_ALIASES = {"l1": "huber:1.25", "l2": "lad", "l3": "quantile:0.3"}
 _LAW_ALIASES = {"d1": "normal", "d2": "mixednormal", "d3": "t2", "d4": "cauchy"}
 
 
 def parse_loss(token: str) -> LossSpec:
-    token = _LOSS_ALIASES.get(token.lower().strip(), token.lower().strip())
+    token = _str(token).lower().strip()
+    token = _LOSS_ALIASES.get(token, token)
     name, _, param = token.partition(":")
     if name in ("lad", "ae"):
         return LossSpec(LossKind.LAD)
@@ -75,7 +83,8 @@ def parse_loss(token: str) -> LossSpec:
 
 
 def parse_law(token: str) -> ErrorLaw:
-    token = _LAW_ALIASES.get(token.lower().strip(), token.lower().strip())
+    token = _str(token).lower().strip()
+    token = _LAW_ALIASES.get(token, token)
     for law in ErrorLaw:
         if law.value == token:
             return law
@@ -83,7 +92,7 @@ def parse_law(token: str) -> ErrorLaw:
 
 
 def parse_link(token: str) -> LinkSpec:
-    token = token.lower().strip()
+    token = _str(token).lower().strip()
     name, _, param = token.partition(":")
     if name == "identity":
         return LinkSpec(LinkKind.IDENTITY)
@@ -98,69 +107,167 @@ def parse_link(token: str) -> LinkSpec:
     raise ConfigurationError(f"unknown link token: {token!r}")
 
 
-_TOP_KEYS = {"seed", "model", "loss", "dgp", "fit", "mc", "forecast"}
-_MODEL_KEYS = {"nonstat_links", "stat_links", "d1", "d2", "share_theta1", "params"}
-_PARAM_KEYS = {"theta1", "gamma1", "theta2", "gamma2"}
-_DGP_KEYS = {
-    "n", "law", "error_scale", "rho1", "sigma1", "rho2", "sigma2",
-    "trend", "recenter_tau", "example", "lin_proc_coeffs",
-}
-_FIT_KEYS = {"m_epsilon", "tol", "max_iter", "multistart", "damping", "ridge"}
-_MC_KEYS = {
-    "example", "n_list", "reps", "losses", "laws", "scale",
-    "rate_params", "start_at_truth", "threads",
-}
-_FORECAST_KEYS = {"window", "x_cols", "z_cols", "y_col", "quantiles"}
+def _typed(kind: type, *also: type) -> Callable:
+    """Item parser that takes a JSON value of type ``kind`` (or ``also``) as ``kind``."""
+
+    def parse(value):
+        if type(value) not in (kind, *also):
+            raise ValueError(f"expected {kind.__name__}, got {value!r}")
+        return kind(value)
+
+    return parse
 
 
-def _check_keys(section: dict, allowed: set, path: str):
-    unknown = set(section) - allowed
+def _items(parse: Callable, value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list, got {value!r}")
+    return [parse(v) for v in value]
+
+
+# A JSON number may be an int where a float is expected, but a bool is
+# neither; a matrix is a list of rows of numbers.
+_int, _float, _str, _bool = _typed(int), _typed(float, int), _typed(str), _typed(bool)
+_matrix = partial(_items, partial(_items, _float))
+
+
+def _example(value) -> str:
+    if value not in _EXAMPLES:
+        raise ValueError(f"expected one of {', '.join(_EXAMPLES)}, got {value!r}")
+    return value
+
+
+def _checked(parse: Callable, value, where: str):
+    """``parse(value)``, with a parse failure reported against ``where``."""
+    try:
+        return parse(value)
+    except (ConfigurationError, ValueError) as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
+
+
+class Option(NamedTuple):
+    """One config key, the commands that read it and the flag that overrides it."""
+
+    path: str  # "key" or "section.key" in the config file
+    commands: tuple[str, ...]
+    flag: str | None
+    parse: Callable  # item parser
+    default: object = None  # a JSON value, parsed like a config value
+    is_list: bool = False  # a JSON list, or a comma-separated flag
+    required: bool = False
+    help: str | None = None
+
+
+# How argparse reads one item of a flag: an int or float option's flag
+# text is typed, any other option's is a string.
+_FLAG_TYPES = {_int: int, _float: float}
+
+# dgp keys that only a generic simulation reads: a packaged example fixes
+# its regressor processes.
+_GENERIC_DGP_KEYS = ("rho1", "sigma1", "rho2", "sigma2", "trend", "lin_proc_coeffs")
+
+OPTIONS = (
+    Option("seed", ("simulate", "fit", "mc"), "--seed", _int, 0),
+    Option("loss", ("fit",), "--loss", parse_loss, "lad"),
+    Option("loss", ("forecast",), "--loss", parse_loss, "se"),
+    Option("dgp.example", ("simulate",), "--example", _example),
+    Option("dgp.n", ("simulate",), "--n", _int, required=True),
+    Option("dgp.law", ("simulate",), "--law", parse_law, "normal"),
+    Option("dgp.error_scale", ("simulate",), "--scale", _float, 0.5),
+    Option("dgp.recenter_tau", ("simulate",), "--recenter-tau", _float),
+    *(Option(f"dgp.{key}", ("simulate",), None, _matrix)
+      for key in ("rho1", "sigma1", "rho2", "sigma2")),
+    Option("dgp.trend", ("simulate",), None, lambda v: TrendKind(_str(v))),
+    Option("dgp.lin_proc_coeffs", ("simulate",), None, _matrix, is_list=True),
+    *(Option(f"fit.{name}", ("fit", "mc", "forecast"), None, parse, getattr(FitOptions, name))
+      for name, parse in (("m_epsilon", _float), ("tol", _float), ("max_iter", _int),
+                          ("multistart", _int), ("damping", _float), ("ridge", _float))),
+    Option("mc.example", ("mc",), "--example", _example, required=True),
+    Option("mc.n_list", ("mc",), "--n", _int, [], is_list=True),
+    Option("mc.reps", ("mc",), "--reps", _int, 500),
+    Option("mc.losses", ("mc",), "--losses", parse_loss, ["l1"], is_list=True),
+    Option("mc.laws", ("mc",), "--laws", parse_law, ["d1"], is_list=True),
+    Option("mc.scale", ("mc",), "--scale", _float, 1.0),
+    Option("mc.rate_params", ("mc",), "--rate", _str, [], is_list=True),
+    Option("mc.start_at_truth", ("mc",), "--global-starts", _bool, True,
+           help="use the estimator's own multistart instead of truth-anchored fits"),
+    Option("mc.threads", ("mc",), "--threads", _int, 1),
+    Option("forecast.window", ("forecast",), "--window", _int, required=True),
+    Option("forecast.x_cols", ("forecast",), "--x-cols", _str, [], is_list=True),
+    Option("forecast.z_cols", ("forecast",), "--z-cols", _str, [], is_list=True),
+    Option("forecast.y_col", ("forecast",), "--y-col", _str, "y"),
+    Option("forecast.quantiles", ("forecast",), "--quantiles", _float, is_list=True),
+)
+
+
+def resolve(args: argparse.Namespace, cfg: dict) -> dict:
+    """The options of ``args.command``, nested like the config file.
+
+    Each option takes its flag, else its config key, else its default; a
+    null config value counts as absent, and a required option has no default.
+    """
+    resolved = {}
+    for opt in OPTIONS:
+        if args.command not in opt.commands:
+            continue
+        section, _, key = opt.path.rpartition(".")
+        value, where = getattr(args, opt.path, None), opt.flag
+        if value is None:
+            value = (cfg.get(section, {}) if section else cfg).get(key)
+            where = f"config key {opt.path}"
+        if value is None and opt.required:
+            raise ConfigurationError(
+                f"{args.command} needs {opt.flag} (or {opt.path} in the config)")
+        if value is None:
+            value = opt.default
+        if value is not None:
+            value = _checked(lambda v: _items(opt.parse, v) if opt.is_list else opt.parse(v),
+                             value, where)
+        (resolved.setdefault(section, {}) if section else resolved)[key] = value
+    return resolved
+
+
+def _check_keys(section, allowed: dict, path: str):
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{path} must be a JSON object")
+    unknown = set(section) - set(allowed)
     if unknown:
-        raise ConfigurationError(
-            f"unknown key(s) in {path}: {', '.join(sorted(unknown))}"
-        )
+        raise ConfigurationError(f"unknown key(s) in {path}: {', '.join(sorted(unknown))}")
+    for key, sub in allowed.items():
+        if sub is not None and key in section:
+            _check_keys(section[key], sub, f"{path}.{key}")
 
 
 def load_config(path: str | None) -> dict:
     if path is None:
         return {}
+    # Nested allowed keys, a leaf key mapping to None: the option table's
+    # and the model section's, which is read whole by model_from_config.
+    allowed = {"model": {**dict.fromkeys(f.name for f in fields(ModelSpec)),
+                         "params": dict.fromkeys(f.name for f in fields(ParamVector))}}
+    for opt in OPTIONS:
+        section, _, key = opt.path.rpartition(".")
+        (allowed.setdefault(section, {}) if section else allowed)[key] = None
     cfg = json.loads(_read_text(path, "config file"))
-    _check_keys(cfg, _TOP_KEYS, "config")
-    if "model" in cfg:
-        _check_keys(cfg["model"], _MODEL_KEYS, "config.model")
-        if "params" in cfg["model"]:
-            _check_keys(cfg["model"]["params"], _PARAM_KEYS, "config.model.params")
-    if "dgp" in cfg:
-        _check_keys(cfg["dgp"], _DGP_KEYS, "config.dgp")
-    if "fit" in cfg:
-        _check_keys(cfg["fit"], _FIT_KEYS, "config.fit")
-    if "mc" in cfg:
-        _check_keys(cfg["mc"], _MC_KEYS, "config.mc")
-    if "forecast" in cfg:
-        _check_keys(cfg["forecast"], _FORECAST_KEYS, "config.forecast")
+    _check_keys(cfg, allowed, "config")
     return cfg
 
 
 def model_from_config(section: dict) -> ModelSpec:
-    try:
-        return ModelSpec(
-            nonstat_links=tuple(parse_link(t) for t in section.get("nonstat_links", [])),
-            stat_links=tuple(parse_link(t) for t in section.get("stat_links", [])),
-            d1=int(section.get("d1", 1)),
-            d2=int(section.get("d2", 1)),
-            share_theta1=bool(section.get("share_theta1", False)),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"model config missing field {exc}") from exc
+    def read(key, parse, default):
+        return _checked(parse, section.get(key, default), f"config key model.{key}")
+
+    links = partial(_items, parse_link)
+    return ModelSpec(
+        nonstat_links=read("nonstat_links", links, []),
+        stat_links=read("stat_links", links, []),
+        d1=read("d1", _int, 1),
+        d2=read("d2", _int, 1),
+        share_theta1=read("share_theta1", _bool, False),
+    )
 
 
 def params_from_config(section: dict) -> ParamVector:
-    return ParamVector(
-        [np.asarray(t, dtype=float) for t in section.get("theta1", [])],
-        np.asarray(section.get("gamma1", []), dtype=float),
-        [np.asarray(t, dtype=float) for t in section.get("theta2", [])],
-        np.asarray(section.get("gamma2", []), dtype=float),
-    )
+    return ParamVector(**section)
 
 
 def model_to_config(model: ModelSpec) -> dict:
@@ -182,13 +289,6 @@ def params_to_config(params: ParamVector) -> dict:
     }
 
 
-def fit_options_from_config(section: dict, loss: LossSpec) -> FitOptions:
-    kwargs = {k: section[k] for k in _FIT_KEYS if k in section}
-    if kwargs.get("multistart") is not None:
-        kwargs["multistart"] = int(kwargs["multistart"])
-    return FitOptions(loss=loss, **kwargs)
-
-
 def _read_text(path: str, what: str) -> str:
     try:
         return Path(path).read_text()
@@ -203,19 +303,24 @@ def _write_text(path: str, text: str):
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
+def _json_value(obj):
+    """JSON form of a parsed option: a loss by its label, an enum by its value."""
+    return obj.label() if isinstance(obj, LossSpec) else obj.value
+
+
 def _write_json(path: str, obj):
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True, default=_json_value) + "\n")
 
 
-def _write_sidecar(out: str, seed, resolved_config: dict, **extra) -> dict:
+def _write_sidecar(out: str, resolved_config: dict, **extra) -> dict:
     """Write ``<out>.meta.json`` and return its content.
 
-    The sidecar carries the build id, the seed (omitted by commands that
-    draw no random numbers), the resolved configuration and any extras.
+    The sidecar carries the build id, the resolved configuration, its seed
+    (absent for commands that draw no random numbers) and any extras.
     """
     meta = {"version": BUILD_ID, "resolved_config": resolved_config, **extra}
-    if seed is not None:
-        meta["seed"] = seed
+    if "seed" in resolved_config:
+        meta["seed"] = resolved_config["seed"]
     _write_json(str(Path(out).with_suffix(Path(out).suffix + ".meta.json")), meta)
     return meta
 
@@ -231,76 +336,50 @@ def _sample_kurtosis(x: np.ndarray) -> float:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    dgp_cfg = dict(cfg.get("dgp", {}))
-    example = args.example or dgp_cfg.get("example")
-    n = args.n or dgp_cfg.get("n")
-    law = parse_law(args.law or dgp_cfg.get("law", "normal"))
-    scale = args.scale if args.scale is not None else dgp_cfg.get("error_scale", 0.5)
-    recenter = (
-        args.recenter_tau
-        if args.recenter_tau is not None
-        else dgp_cfg.get("recenter_tau")
-    )
-    if n is None:
-        raise ConfigurationError("simulate needs --n (or dgp.n in the config)")
-    n = int(n)
-    rng = rng_for(seed, 0)
-    lin_proc = dgp_cfg.get("lin_proc_coeffs")
-    if example:
-        if lin_proc is not None:
+    opts = resolve(args, cfg)
+    dgp = opts["dgp"]
+    rng = rng_for(opts["seed"], 0)
+    if dgp["example"] is not None:
+        given = [key for key in _GENERIC_DGP_KEYS if dgp.pop(key) is not None]
+        if given:
             raise ConfigurationError(
-                "dgp.lin_proc_coeffs cannot be combined with a packaged example: "
-                "the examples fix their regressor processes"
+                f"dgp.{', dgp.'.join(given)} cannot be combined with a packaged "
+                "example: the examples fix their regressor processes"
             )
         data, model, truth = gen_example(
-            example, n, law, rng, recenter_tau=recenter, error_scale=scale
+            dgp["example"], dgp["n"], dgp["law"], rng,
+            recenter_tau=dgp["recenter_tau"], error_scale=dgp["error_scale"],
         )
-        resolved_dgp = {
-            "example": example, "n": n, "law": law.value,
-            "error_scale": scale, "recenter_tau": recenter,
-        }
-        model_echo = model_to_config(model)
-        model_echo["params"] = params_to_config(truth)
     else:
-        if "model" not in cfg or "params" not in cfg.get("model", {}):
+        if "params" not in cfg.get("model", {}):
             raise ConfigurationError(
                 "generic simulation needs config sections model (with params) and dgp"
             )
         model = model_from_config(cfg["model"])
         truth = params_from_config(cfg["model"]["params"])
+        del dgp["example"]
+        eye1, eye2 = np.eye(model.d1).tolist(), np.eye(model.d2).tolist()
+        half2 = (0.5 * np.eye(model.d2)).tolist()
+        for key, default in (("rho1", eye1), ("sigma1", eye1), ("rho2", half2),
+                             ("sigma2", eye2), ("trend", TrendKind.NONE)):
+            if dgp[key] is None:
+                dgp[key] = default
+        # The generic-only keys are named after their DgpConfig fields.
         dcfg = DgpConfig(
-            n=n,
-            d1=model.d1,
-            d2=model.d2,
-            rho1=np.asarray(dgp_cfg.get("rho1", np.eye(model.d1).tolist())),
-            sigma1=np.asarray(dgp_cfg.get("sigma1", np.eye(model.d1).tolist())),
-            rho2=np.asarray(dgp_cfg.get("rho2", (0.5 * np.eye(model.d2)).tolist())),
-            sigma2=np.asarray(dgp_cfg.get("sigma2", np.eye(model.d2).tolist())),
-            trend=TrendKind(dgp_cfg.get("trend", "none")),
-            error_law=law,
-            error_scale=scale,
-            lin_proc_coeffs=lin_proc,
-            quantile_recentering=recenter,
+            n=dgp["n"], d1=model.d1, d2=model.d2, error_law=dgp["law"],
+            error_scale=dgp["error_scale"], quantile_recentering=dgp["recenter_tau"],
+            **{key: dgp[key] for key in _GENERIC_DGP_KEYS},
         )
+        if dgp["lin_proc_coeffs"] is None:
+            del dgp["lin_proc_coeffs"]
         data = simulate_generic(dcfg, model, truth, rng)
-        resolved_dgp = {
-            "n": n, "law": law.value, "error_scale": scale,
-            "recenter_tau": recenter,
-            "rho1": dcfg.rho1.tolist(), "sigma1": dcfg.sigma1.tolist(),
-            "rho2": dcfg.rho2.tolist(), "sigma2": dcfg.sigma2.tolist(),
-            "trend": dcfg.trend.value,
-        }
-        if lin_proc is not None:
-            resolved_dgp["lin_proc_coeffs"] = [a.tolist() for a in dcfg.lin_proc_coeffs]
-        model_echo = model_to_config(model)
-        model_echo["params"] = params_to_config(truth)
     _write_text(args.out, dataset_to_csv(data))
     # Residuals at the truth are exactly the generated errors.
     errors = data.y - regression_mean(model, truth, data.X, data.Z)
     kurt = _sample_kurtosis(errors)
+    model_echo = {**model_to_config(model), "params": params_to_config(truth)}
     _write_sidecar(
-        args.out, seed, {"seed": seed, "model": model_echo, "dgp": resolved_dgp},
+        args.out, {**opts, "model": model_echo},
         error_kurtosis=kurt, heavy_tail_flag=bool(kurt > 9.0), rows=data.n,
     )
     return 0
@@ -308,8 +387,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    loss = parse_loss(args.loss or cfg.get("loss", "lad"))
+    opts = resolve(args, cfg)
     if args.example_model:
         model, _ = example_model(args.example_model)
     elif "model" in cfg:
@@ -317,16 +395,9 @@ def cmd_fit(args) -> int:
     else:
         raise ConfigurationError("fit needs --example-model or a model config section")
     data = dataset_from_csv(_read_text(args.data, "dataset"))
-    opts = fit_options_from_config(cfg.get("fit", {}), loss)
-    res = fit(model, data, opts)
-    resolved = {
-        "seed": seed,
-        "loss": loss.label(),
-        "model": model_to_config(model),
-        "fit": cfg.get("fit", {}),
-    }
+    res = fit(model, data, FitOptions(loss=opts["loss"], **opts["fit"]))
     meta = _write_sidecar(
-        args.out, seed, resolved,
+        args.out, {**opts, "model": model_to_config(model)},
         start_index=res.start_index, mollifier_m=res.mollifier_m,
     )
     doc = {
@@ -345,59 +416,24 @@ def cmd_fit(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    cfg = load_config(args.config)
-    mc_cfg = dict(cfg.get("mc", {}))
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    example = args.example or mc_cfg.get("example")
-    if not example:
-        raise ConfigurationError("mc needs --example (or mc.example in the config)")
-    n_list = (
-        [int(v) for v in args.n.split(",")]
-        if args.n
-        else [int(v) for v in mc_cfg.get("n_list", [])]
-    )
-    reps = args.reps if args.reps is not None else mc_cfg.get("reps", 500)
-    losses = [
-        parse_loss(t)
-        for t in (args.losses.split(",") if args.losses else mc_cfg.get("losses", ["l1"]))
-    ]
-    laws = [
-        parse_law(t)
-        for t in (args.laws.split(",") if args.laws else mc_cfg.get("laws", ["d1"]))
-    ]
-    scale = args.table_scale if args.table_scale is not None else mc_cfg.get("scale", 1.0)
-    start_at_truth = mc_cfg.get("start_at_truth", True)
-    if args.global_starts:
-        start_at_truth = False
-    threads = args.threads if args.threads is not None else mc_cfg.get("threads", 1)
-    fit_opts = fit_options_from_config(cfg.get("fit", {}), losses[0])
+    opts = resolve(args, load_config(args.config))
+    mc = opts["mc"]
     config = McConfig(
-        example=example,
-        n_list=n_list,
-        reps=int(reps),
-        losses=losses,
-        laws=laws,
-        base_seed=seed,
-        fit_options=fit_opts,
-        start_at_truth=start_at_truth,
-        threads=int(threads),
+        base_seed=opts["seed"],
+        # The replications replace this loss with their cell's.
+        fit_options=FitOptions(loss=LAD, **opts["fit"]),
+        # Every mc key but the two that shape the table is a McConfig field.
+        **{key: value for key, value in mc.items() if key not in ("scale", "rate_params")},
     )
-    print(
-        f"mc: {example} n={n_list} reps={reps} losses={[l.label() for l in losses]} "
-        f"laws={[l.value for l in laws]} threads={threads}",
-        file=sys.stderr,
-    )
+    print(f"mc: {json.dumps(mc, default=_json_value)}", file=sys.stderr)
     table = run_replications(config)
-    text = summarize(table, "csv", scale=scale)
-    rate_params = (
-        args.rate.split(",") if args.rate else mc_cfg.get("rate_params", [])
-    )
-    if rate_params:
+    text = summarize(table, "csv", scale=mc["scale"])
+    if mc["rate_params"]:
         extra = []
-        for pname in rate_params:
+        for pname in mc["rate_params"]:
             for loss in table.loss_labels:
                 for law in table.law_tokens:
-                    for n_a, n_b in zip(n_list[:-1], n_list[1:]):
+                    for n_a, n_b in zip(mc["n_list"][:-1], mc["n_list"][1:]):
                         r = rate_exponent(table, pname.strip(), loss, law, (n_a, n_b))
                         extra.append(
                             f"rate:{pname.strip()},{loss},{law},{n_a}->{n_b},,,{r:.17g},,"
@@ -405,78 +441,41 @@ def cmd_mc(args) -> int:
         text = text + "\n".join(extra) + "\n"
     _write_text(args.out, text)
     if args.markdown:
-        _write_text(args.markdown, summarize(table, "markdown", scale=scale))
-    resolved = {
-        "seed": seed,
-        "mc": {
-            "example": example, "n_list": n_list, "reps": int(reps),
-            "losses": [l.label() for l in losses],
-            "laws": [l.value for l in laws],
-            "scale": scale, "rate_params": rate_params,
-            "start_at_truth": start_at_truth, "threads": int(threads),
-        },
-        "fit": cfg.get("fit", {}),
-    }
-    _write_sidecar(args.out, seed, resolved)
+        _write_text(args.markdown, summarize(table, "markdown", scale=mc["scale"]))
+    _write_sidecar(args.out, opts)
     return 0
 
 
 def cmd_forecast(args) -> int:
     cfg = load_config(args.config)
-    fc_cfg = dict(cfg.get("forecast", {}))
-    loss = parse_loss(args.loss or cfg.get("loss", "se"))
-    window = args.window if args.window is not None else fc_cfg.get("window")
-    if window is None:
-        raise ConfigurationError("forecast needs --window")
-    x_cols = args.x_cols.split(",") if args.x_cols else fc_cfg.get("x_cols", [])
-    z_cols = args.z_cols.split(",") if args.z_cols else fc_cfg.get("z_cols", [])
-    y_col = args.y_col or fc_cfg.get("y_col", "y")
-    x_cols = [c for c in x_cols if c]
-    z_cols = [c for c in z_cols if c]
+    opts = resolve(args, cfg)
+    fc = opts["forecast"]
     if "model" in cfg:
         model = model_from_config(cfg["model"])
     else:
-        nonstat = (LinkSpec(LinkKind.IDENTITY),) if x_cols else ()
-        stat = (LinkSpec(LinkKind.IDENTITY),) if z_cols else ()
+        nonstat = (LinkSpec(LinkKind.IDENTITY),) if fc["x_cols"] else ()
+        stat = (LinkSpec(LinkKind.IDENTITY),) if fc["z_cols"] else ()
         if not nonstat and not stat:
             raise ConfigurationError("forecast needs at least one of --x-cols/--z-cols")
-        model = ModelSpec(
-            nonstat_links=nonstat,
-            stat_links=stat,
-            d1=max(1, len(x_cols)),
-            d2=max(1, len(z_cols)),
-        )
-    quantiles = (
-        [float(q) for q in args.quantiles.split(",")]
-        if args.quantiles
-        else fc_cfg.get("quantiles")
-    )
+        model = ModelSpec(nonstat_links=nonstat, stat_links=stat,
+                          d1=max(1, len(fc["x_cols"])), d2=max(1, len(fc["z_cols"])))
     table, dates = table_from_csv(_read_text(args.data, "table"))
     config = ForecastConfig(
-        window=int(window),
-        loss=loss,
+        window=fc["window"],
+        loss=opts["loss"],
         model=model,
-        x_cols=x_cols,
-        z_cols=z_cols,
-        y_col=y_col,
-        fit_options=fit_options_from_config(cfg.get("fit", {}), loss),
-        quantile_levels=quantiles,
+        x_cols=fc["x_cols"],
+        z_cols=fc["z_cols"],
+        y_col=fc["y_col"],
+        fit_options=FitOptions(loss=opts["loss"], **opts["fit"]),
+        quantile_levels=fc["quantiles"],
     )
     reports = run_forecast(table, config, threads=args.threads or 1)
     _write_text(args.out, report_csv(reports))
     if args.dump:
-        offset = int(window)
-        dump_dates = dates[offset:] if dates else None
+        dump_dates = dates[fc["window"]:] if dates else None
         _write_text(args.dump, error_dump_csv(reports[0], dump_dates))
-    resolved = {
-        "loss": loss.label(),
-        "model": model_to_config(model),
-        "forecast": {
-            "window": int(window), "x_cols": x_cols, "z_cols": z_cols,
-            "y_col": y_col, "quantiles": quantiles,
-        },
-    }
-    _write_sidecar(args.out, None, resolved)
+    _write_sidecar(args.out, {**opts, "model": model_to_config(model)})
     return 0
 
 
@@ -509,9 +508,28 @@ def cmd_loss_probe(args) -> int:
                 f"{rho_pp[i]:.17g},{gap:.17g},{bound:.17g}"
             )
     _write_text(args.out, "\n".join(lines) + "\n")
-    resolved = {"loss": loss.label(), "m": m_list, "grid": args.grid}
-    _write_sidecar(args.out, None, resolved)
+    _write_sidecar(args.out, {"loss": loss.label(), "m": m_list, "grid": args.grid})
     return 0
+
+
+def _comma_list(token: Callable) -> Callable:
+    def comma_list(text: str) -> list:
+        return [token(t) for t in text.split(",") if t]
+
+    return comma_list
+
+
+def _add_options(parser: argparse.ArgumentParser, command: str):
+    """Add the flag of every option of ``command``, stored under its config path."""
+    for opt in OPTIONS:
+        if command not in opt.commands or opt.flag is None:
+            continue
+        if opt.parse is _bool:  # the flag sets the opposite of the default
+            kwargs = {"action": "store_const", "const": not opt.default}
+        else:
+            token = _FLAG_TYPES.get(opt.parse, str)
+            kwargs = {"type": _comma_list(token) if opt.is_list else token}
+        parser.add_argument(opt.flag, dest=opt.path, help=opt.help, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,37 +541,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("simulate", help="generate a dataset CSV plus metadata sidecar")
-    ps.add_argument("--example", choices=["ex51", "ex52"])
-    ps.add_argument("--n", type=int)
-    ps.add_argument("--law")
-    ps.add_argument("--seed", type=int)
-    ps.add_argument("--scale", type=float)
-    ps.add_argument("--recenter-tau", type=float, dest="recenter_tau")
+    _add_options(ps, "simulate")
     ps.add_argument("--config")
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=cmd_simulate)
 
     pf = sub.add_parser("fit", help="fit a model to a dataset CSV")
     pf.add_argument("--data", required=True)
-    pf.add_argument("--loss")
-    pf.add_argument("--example-model", choices=["ex51", "ex52"], dest="example_model")
+    pf.add_argument("--example-model", choices=_EXAMPLES, dest="example_model")
+    _add_options(pf, "fit")
     pf.add_argument("--config")
-    pf.add_argument("--seed", type=int)
     pf.add_argument("--out", required=True)
     pf.set_defaults(func=cmd_fit)
 
     pm = sub.add_parser("mc", help="Monte Carlo bias/sd/MSE table")
-    pm.add_argument("--example", choices=["ex51", "ex52"])
-    pm.add_argument("--n")
-    pm.add_argument("--reps", type=int)
-    pm.add_argument("--losses")
-    pm.add_argument("--laws")
-    pm.add_argument("--seed", type=int)
-    pm.add_argument("--rate")
-    pm.add_argument("--scale", type=float, dest="table_scale")
-    pm.add_argument("--threads", type=int)
-    pm.add_argument("--global-starts", action="store_true", dest="global_starts",
-                    help="use the estimator's own multistart instead of truth-anchored fits")
+    _add_options(pm, "mc")
     pm.add_argument("--markdown")
     pm.add_argument("--config")
     pm.add_argument("--out", required=True)
@@ -561,12 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("forecast", help="rolling out-of-sample forecast report")
     pc.add_argument("--data", required=True)
-    pc.add_argument("--window", type=int)
-    pc.add_argument("--loss")
-    pc.add_argument("--x-cols", dest="x_cols")
-    pc.add_argument("--z-cols", dest="z_cols")
-    pc.add_argument("--y-col", dest="y_col")
-    pc.add_argument("--quantiles")
+    _add_options(pc, "forecast")
     pc.add_argument("--threads", type=int)
     pc.add_argument("--config")
     pc.add_argument("--dump", help="per-window error CSV of the first quantile level "

@@ -1,9 +1,11 @@
+import copy
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from mollifit.cli import main, parse_law, parse_link, parse_loss
+from mollifit.cli import OPTIONS, main, parse_law, parse_link, parse_loss
 from mollifit.dgp import ErrorLaw
 from mollifit.exceptions import ConfigurationError
 from mollifit.losses import LossKind
@@ -57,16 +59,65 @@ def test_simulate_cauchy_kurtosis_flag(tmp_path):
     assert meta2["heavy_tail_flag"] is False
 
 
-def test_simulate_config_roundtrip(tmp_path):
-    out1 = tmp_path / "a.csv"
-    assert run(["simulate", "--example", "ex52", "--n", "100", "--law", "t2",
-                "--seed", "9", "--out", str(out1)]) == 0
-    meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
-    cfg_path = tmp_path / "echo.json"
-    cfg_path.write_text(json.dumps(meta["resolved_config"]))
-    out2 = tmp_path / "b.csv"
-    assert run(["simulate", "--config", str(cfg_path), "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+def _primary_output(command, out):
+    """Bytes of a command's primary output; a fit document without its meta block."""
+    if command != "fit":
+        return out.read_bytes()
+    doc = json.loads(out.read_text())
+    del doc["meta"]
+    return json.dumps(doc, sort_keys=True).encode()
+
+
+def test_config_roundtrip(tmp_path):
+    """Every command re-run from its sidecar's resolved_config repeats its output."""
+    data = tmp_path / "d.csv"
+    fit_cfg = tmp_path / "fit.json"
+    fit_cfg.write_text(json.dumps({"fit": {"m_epsilon": 0.2, "ridge": 1e-4, "multistart": 2}}))
+    runs = {
+        "simulate": ([], ["--example", "ex52", "--n", "100", "--law", "t2", "--seed", "9"]),
+        "fit": (["--data", str(data)], ["--example-model", "ex52", "--config", str(fit_cfg)]),
+        "mc": ([], ["--example", "ex52", "--n", "50", "--reps", "2", "--config", str(fit_cfg)]),
+        "forecast": (["--data", str(data)], ["--window", "80", "--z-cols", "z1,z2",
+                                             "--loss", "lad", "--config", str(fit_cfg)]),
+    }
+    for command, (inputs, options) in runs.items():
+        out1 = data if command == "simulate" else tmp_path / f"{command}-1.out"
+        assert run([command, *inputs, *options, "--out", str(out1)]) == 0, command
+        meta = json.loads(out1.with_name(out1.name + ".meta.json").read_text())
+        echo = tmp_path / f"{command}-echo.json"
+        echo.write_text(json.dumps(meta["resolved_config"]))
+        out2 = tmp_path / f"{command}-2.out"
+        assert run([command, *inputs, "--config", str(echo), "--out", str(out2)]) == 0, command
+        assert _primary_output(command, out1) == _primary_output(command, out2), command
+
+
+_WRONG_TYPES = [
+    ("fit", {"fit": {"tol": "x"}}, "fit.tol"),
+    ("fit", {"fit": {"max_iter": 50.5}}, "fit.max_iter"),
+    ("forecast", {"forecast": {"quantiles": ["0.3"]}}, "forecast.quantiles"),
+    ("fit", {"model": {"nonstat_links": ["identity"], "stat_links": ["identity"],
+                       "d1": 2, "d2": 2, "share_theta1": "false"}}, "model.share_theta1"),
+    ("mc", {"mc": {"start_at_truth": "no"}}, "mc.start_at_truth"),
+    ("simulate", {"dgp": 5}, "config.dgp"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, named", _WRONG_TYPES, ids=[c[2] for c in _WRONG_TYPES])
+def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, cfg, named):
+    data = tmp_path / "d.csv"
+    assert run(["simulate", "--example", "ex51", "--n", "60", "--seed", "1",
+                "--out", str(data)]) == 0
+    argv = {
+        "simulate": ["--example", "ex51", "--n", "60"],
+        "fit": ["--data", str(data)] + ([] if "model" in cfg else ["--example-model", "ex51"]),
+        "mc": ["--example", "ex51", "--n", "50", "--reps", "2"],
+        "forecast": ["--data", str(data), "--window", "40", "--z-cols", "z1,z2"],
+    }[command]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run([command, *argv, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_simulate_invalid_config(tmp_path):
@@ -344,11 +395,113 @@ def test_simulate_lin_proc_coeffs_take_effect_and_echo(tmp_path):
     assert echoed.read_bytes() == tapped.read_bytes()
 
 
-def test_simulate_rejects_bad_lin_proc_coeffs(tmp_path):
-    cfg = {"dgp": {"lin_proc_coeffs": [[[1.0, 0.0], [0.0, 1.0]]]}}
-    code, out = _simulate_config(tmp_path, "ex", cfg, ["--example", "ex51", "--n", "50"])
-    assert code == 2
-    assert not out.exists()
+def test_simulate_rejects_bad_lin_proc_coeffs(tmp_path, capsys):
+    # A packaged example fixes its processes, so it rejects every generic-only key.
+    for key, value in (("lin_proc_coeffs", [[[1.0, 0.0], [0.0, 1.0]]]),
+                       ("rho1", [[1.0, 0.0], [0.0, 1.0]]), ("trend", "linear")):
+        cfg = {"dgp": {key: value}}
+        code, out = _simulate_config(tmp_path, key, cfg, ["--example", "ex51", "--n", "50"])
+        assert code == 2, key
+        assert not out.exists()
+        assert f"dgp.{key}" in capsys.readouterr().err
     code, out = _simulate_config(tmp_path, "wide", _generic_sim_config([[[1.0]]]))
     assert code == 2
     assert not out.exists()
+
+
+# The option-table walk: a base run per command, and for every (command,
+# option) of the table a value other than the base run's, set through the
+# config file.
+_WALK_BASE = {
+    "simulate": _generic_sim_config(),
+    "fit": {},
+    "mc": {"mc": {"example": "ex51", "n_list": [50, 60], "reps": 2}},
+    "forecast": {"loss": "lad", "forecast": {"window": 40, "z_cols": ["z1", "z2"]}},
+}
+_FIT_WALK = {"fit.m_epsilon": 0.2, "fit.tol": 1e-2, "fit.max_iter": 3,
+             "fit.multistart": 2, "fit.damping": 0.3, "fit.ridge": 1e-2}
+_WALK = {
+    "simulate": {
+        "seed": 6, "dgp.example": "ex51", "dgp.n": 61, "dgp.law": "t2",
+        "dgp.error_scale": 0.7, "dgp.recenter_tau": 0.3,
+        "dgp.rho1": [[1.0, 0.0], [0.0, 0.5]], "dgp.sigma1": [[2.0, 0.0], [0.0, 1.0]],
+        "dgp.rho2": [[0.3]], "dgp.sigma2": [[2.0]], "dgp.trend": "linear",
+        "dgp.lin_proc_coeffs": [[[1.0, 0.0], [0.0, 1.0]], [[0.8, 0.0], [0.3, -0.5]]],
+    },
+    "fit": {"seed": 7, "loss": "huber:1.25", **_FIT_WALK},
+    "mc": {
+        "seed": 8, "mc.example": "ex52", "mc.n_list": [50, 70], "mc.reps": 3,
+        "mc.losses": ["l2"], "mc.laws": ["d3"], "mc.scale": 100.0,
+        "mc.rate_params": ["gamma1"], "mc.start_at_truth": False, "mc.threads": 2,
+        **_FIT_WALK,
+    },
+    "forecast": {
+        "loss": "se", "forecast.window": 45, "forecast.x_cols": ["x1"],
+        "forecast.z_cols": ["z1"], "forecast.y_col": "x2", "forecast.quantiles": [0.5],
+        **_FIT_WALK,
+    },
+}
+# Keys that act only together with another: both runs of the case set it.
+_WALK_CONTEXT = {
+    # A truth-anchored replication fits from the one true start, and takes
+    # every Newton step whole: start count and backtracking act only under
+    # global starts.
+    ("mc", "fit.multistart"): {"mc.start_at_truth": False},
+    ("mc", "fit.damping"): {"mc.start_at_truth": False},
+}
+# The only options that leave every primary output unchanged; their echo
+# must change instead.
+_ECHO_ONLY = {
+    ("mc", "mc.threads"): "output is byte-identical across worker counts by contract",
+    ("fit", "seed"): "fit draws no random numbers",
+}
+
+
+def _set(cfg, path, value):
+    section, _, key = path.rpartition(".")
+    (cfg.setdefault(section, {}) if section else cfg)[key] = value
+
+
+def _get(cfg, path):
+    section, _, key = path.rpartition(".")
+    return (cfg[section] if section else cfg)[key]
+
+
+@pytest.mark.filterwarnings("ignore:rho1 is not the identity")
+def test_every_option_has_an_effect(tmp_path):
+    cases = {(command, opt.path) for opt in OPTIONS for command in opt.commands}
+    assert {(command, path) for command, values in _WALK.items() for path in values} == cases
+    data = tmp_path / "d.csv"
+    assert run(["simulate", "--example", "ex51", "--n", "50", "--seed", "2",
+                "--out", str(data)]) == 0
+    inputs = {"simulate": [], "fit": ["--data", str(data), "--example-model", "ex51"],
+              "mc": [], "forecast": ["--data", str(data)]}
+    names = itertools.count()
+    runs = {}
+
+    def output(command, settings):
+        """(primary output, resolved config) of ``command`` on its base with ``settings``."""
+        key = (command, json.dumps(settings, sort_keys=True))
+        if key not in runs:
+            cfg = copy.deepcopy(_WALK_BASE[command])
+            for path, value in settings.items():
+                _set(cfg, path, value)
+            name = next(names)
+            cfg_path = tmp_path / f"cfg{name}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            out = tmp_path / f"out{name}"
+            code = run([command, *inputs[command], "--config", str(cfg_path), "--out", str(out)])
+            assert code in (0, 1), (command, settings)
+            meta = json.loads(out.with_name(out.name + ".meta.json").read_text())
+            runs[key] = _primary_output(command, out), meta["resolved_config"]
+        return runs[key]
+
+    for command, path in sorted(cases):
+        context = _WALK_CONTEXT.get((command, path), {})
+        base, base_echo = output(command, context)
+        changed, echo = output(command, {**context, path: _WALK[command][path]})
+        if (command, path) in _ECHO_ONLY:
+            assert changed == base, (command, path)
+            assert _get(echo, path) != _get(base_echo, path), (command, path)
+        else:
+            assert changed != base, (command, path)
