@@ -52,6 +52,7 @@ from .model import (
     LinkKind,
     LinkSpec,
     ModelSpec,
+    ParamLayout,
     ParamVector,
     power_link,
     regression_mean,
@@ -425,6 +426,13 @@ def cmd_mc(args) -> int:
         # Every mc key but the two that shape the table is a McConfig field.
         **{key: value for key, value in mc.items() if key not in ("scale", "rate_params")},
     )
+    names = ParamLayout(example_model(config.example)[0]).param_names()
+    unknown = [p for p in mc["rate_params"] if p.strip() not in names]
+    if unknown:
+        raise ConfigurationError(
+            f"mc.rate_params: {', '.join(unknown)} not a parameter of {config.example} "
+            f"(one of {', '.join(names)})"
+        )
     print(f"mc: {json.dumps(mc, default=_json_value)}", file=sys.stderr)
     table = run_replications(config)
     text = summarize(table, "csv", scale=mc["scale"])

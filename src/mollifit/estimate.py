@@ -14,6 +14,19 @@ The smoothing order is annealed: early iterations use a kernel scale matched
 to the current residual spread (which makes the kink losses behave like
 smooth ones globally), and the final iterations run at the sample-size order
 ``m = floor(n^(2+eps))``, which also prices the reported curvature average.
+
+The starts of a fit run in lockstep.  Each start's iteration is a generator
+(``_minimize_one``) that keeps its own control flow (rungs, budgets, the
+subgradient fallback, the stall rules) and yields its work as requests; one
+loop (``_lockstep``) serves the requests of all live starts with batched
+calls: (S, n, P) Jacobians with one batched solve for the Newton steps, and
+blocks of line-search trial points.  A search tries ``alpha = 1, d, d^2,
+...`` (repeated multiplication by ``damping``) in blocks of rows that double
+in size, and takes the first row that lowers ``L_n``.  A budget of
+``_BLOCK_ELEMENTS`` elements caps the (rows, n) trial blocks and the number
+of starts per lockstep group, so at large n a fit runs one start and one
+trial at a time.  Every batched operation rounds as its one-start form, so
+each start follows its serial path bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +39,7 @@ from scipy.special import ndtri
 
 from .exceptions import (
     ConfigurationError,
+    DegenerateParameterError,
     EmptyBlockError,
     RankDeficiencyError,
     ShapeError,
@@ -55,6 +69,9 @@ from .model import (
 )
 
 _MAX_BACKTRACKS = 60
+# Most elements in one (rows, n) block of trial residuals; also caps the
+# starts that run in lockstep.
+_BLOCK_ELEMENTS = 2**14
 _RUNG_FACTOR = 25.0
 _RUNG_ITER_CAP = 15
 
@@ -185,13 +202,20 @@ def estimate_sigma(model: ModelSpec, params: ParamVector, data: Dataset) -> np.n
 
 
 def stationary_covariance(a1: float, a2: float, sigma_hat, n: int) -> np.ndarray:
-    """Finite-sample covariance (a1/a2^2) Sigma^{-1} / n for the stationary block."""
+    """Finite-sample covariance (a1/a2^2) Sigma^{-1} / n for the stationary block.
+
+    Raises ConfigurationError unless a2^2 is positive; below ~1e-162 the
+    square of a positive a2 underflows to zero.
+    """
+    a2_sq = a2 * a2
+    if not a2_sq > 0:
+        raise ConfigurationError(f"a2^2 must be positive, got a2 = {a2!r}")
     sigma_hat = np.atleast_2d(np.asarray(sigma_hat, dtype=float))
     P = sigma_hat.shape[0]
     inv = _solve_spd(
         sigma_hat + 1e-10 * np.eye(P), np.eye(P), context="stationary covariance"
     )
-    return (a1 / (a2 * a2)) * inv / n
+    return (a1 / a2_sq) * inv / n
 
 
 def _sphere_point(counter: int, d: int) -> np.ndarray:
@@ -203,7 +227,7 @@ def _sphere_point(counter: int, d: int) -> np.ndarray:
     z = ndtri(u)
     if np.linalg.norm(z) < 1e-12:
         return np.eye(1, d)[0]
-    return _unitize(z)[0]
+    return _unitize(z[None])[0][0]
 
 
 def _unit_or_default(vec: np.ndarray) -> np.ndarray:
@@ -211,7 +235,7 @@ def _unit_or_default(vec: np.ndarray) -> np.ndarray:
     nrm = float(np.linalg.norm(vec))
     if nrm < 1e-10 or not np.isfinite(nrm):
         return np.eye(1, vec.size)[0]
-    return _unitize(vec)[0]
+    return _unitize(vec[None])[0][0]
 
 
 def _gamma_refit(layout: ParamLayout, data: Dataset, flat: np.ndarray) -> np.ndarray:
@@ -283,8 +307,9 @@ class _LossEngine:
         self.loss = loss
         self.smooth = loss.kind is not LossKind.SQUARED_ERROR
 
-    def objective(self, e):
-        return float(np.sum(eval_loss(self.loss, e)))
+    def objective(self, E):
+        """L_n of each row of a (rows, n) residual block."""
+        return np.sum(eval_loss(self.loss, E), axis=-1)
 
     def score(self, e, m):
         if not self.smooth:
@@ -325,28 +350,55 @@ class _StartOutcome:
     trace: list[float] = field(default_factory=list)
 
 
-def _backtrack(layout, data, opts, engine, flat, delta, L):
+def _alphas(damping: float) -> np.ndarray:
+    """Line-search step lengths 1, d, d^2, ... by repeated multiplication."""
+    out = np.empty(_MAX_BACKTRACKS)
+    alpha = 1.0
+    for k in range(_MAX_BACKTRACKS):
+        out[k] = alpha
+        alpha *= damping
+    return out
+
+
+def _line_search(flat, delta, L, alphas, size):
     """First point on ``flat + alpha*delta`` that lowers the exact objective.
 
-    ``alpha`` starts at 1 and is multiplied by ``opts.damping`` after every
-    refusal.  Returns ``(flat, residuals, objective)`` at the normalized
-    point, or None when all backtracks are refused.
+    A sub-generator of :func:`_minimize_one`: it yields the trial rows in
+    ``alphas`` order, in blocks of ``size``, ``2*size``, ... rows, of which
+    :func:`_lockstep` may evaluate a prefix only.  Returns ``(flat, residuals,
+    objective, trials)`` at the first accepted, normalized row, ``trials``
+    counting it, or None when every trial is refused.  A row that cannot be
+    normalized before the accepted one raises, as a serial search would.
     """
-    alpha = 1.0
-    for _ in range(_MAX_BACKTRACKS):
-        cand = packed_normalize(layout, flat + alpha * delta)
-        e_c = data.y - packed_mean(layout, cand, data.X, data.Z)
-        L_c = engine.objective(e_c)
-        if L_c < L:
-            return cand, e_c, L_c
-        alpha *= opts.damping
+    k = 0
+    while k < alphas.size:
+        F, E, Ls, ok = yield "eval", flat + alphas[k : k + size, None] * delta
+        stop = ~ok | (Ls < L)
+        if stop.any():
+            i = int(stop.argmax())
+            if not ok[i]:
+                raise DegenerateParameterError("cannot normalize a zero index vector")
+            return F[i], E[i].copy(), float(Ls[i]), k + i + 1
+        k += Ls.size
+        size *= 2
     return None
 
 
 def _minimize_one(layout, data, opts, engine, start, m_target):
-    flat = packed_normalize(layout, start)
-    e = data.y - packed_mean(layout, flat, data.X, data.Z)
-    L = engine.objective(e)
+    """The annealed Newton iteration from one start, as a generator.
+
+    It yields its batched work to :func:`_lockstep` and gets
+    the results sent back: ``("eval", rows)`` the normalized rows with
+    their residuals, objectives and normalization mask (:func:`_evaluate`);
+    ``("step", flat, score, weights, exact_score)`` the ridged normal
+    matrix, the Newton step and the gradient of ``exact_score``
+    (:func:`_newton_steps`); ``("solve", H, g)`` the solution.  A failed
+    solve is thrown in.  Returns the start's :class:`_StartOutcome`.
+    """
+    F, E, Ls, ok = yield "eval", start[None]
+    if not ok[0]:
+        raise DegenerateParameterError("cannot normalize a zero index vector")
+    flat, e, L = F[0], E[0].copy(), float(Ls[0])
     L_start = L
     trace = [L]
     iters = 0
@@ -354,8 +406,8 @@ def _minimize_one(layout, data, opts, engine, start, m_target):
     converged = False
     last_delta_sup = math.inf
     rungs = _rung_schedule(e, m_target, engine.smooth)
-    eye = np.eye(layout.size)
-    names = {col: name for name, col in layout.scalars}
+    alphas = _alphas(opts.damping)
+    size = 1
     for ri, m in enumerate(rungs):
         last = ri == len(rungs) - 1
         rung_tol = opts.tol if last else max(opts.tol, 0.03 / math.sqrt(2.0 * m))
@@ -365,27 +417,21 @@ def _minimize_one(layout, data, opts, engine, start, m_target):
         stalled = False
         exact = False
         for _ in range(budget):
-            J = packed_jacobian(layout, flat, data.X, data.Z)
-            g = J.T @ (subgrad(engine.loss, e) if exact else engine.score(e, m))
-            w = engine.weights(e, m)
-            H = (J * w[:, None]).T @ J
-            # Ridge relative to the problem scale: an absolute 1e-10 is lost
-            # in rounding against design blocks of size ~1e6 and leaves the
-            # LU factorization exactly singular on low-rank weight states.
-            # Referencing H and g (both proportional to the loss) keeps the
-            # step exactly invariant under loss rescaling.
-            scale = max(
-                float(np.mean(np.abs(np.diag(H)))), float(np.max(np.abs(g))), 1e-30
+            score = subgrad(engine.loss, e) if exact else engine.score(e, m)
+            # Where the subgradient fallback below can follow, its gradient
+            # comes with the step: the Jacobian does not outlive the step.
+            can_fall_back = last and engine.smooth and not accepted_any
+            H, delta, g_exact = yield (
+                "step", flat, score, engine.weights(e, m),
+                subgrad(engine.loss, e) if can_fall_back else None,
             )
-            H += (opts.ridge * scale) * eye
-            delta = _solve_spd(H, g, context="newton step", names=names)
             last_delta_sup = float(np.max(np.abs(delta)))
             if last_delta_sup < rung_tol:
                 if last:
                     converged = True
                 break
-            found = _backtrack(layout, data, opts, engine, flat, delta, L)
-            if found is None and last and engine.smooth and not accepted_any:
+            found = yield from _line_search(flat, delta, L, alphas, size)
+            if found is None and can_fall_back:
                 # A residual within a kernel width of a kink can tip the
                 # smoothed score uphill for the exact objective, which would
                 # leave the start where it is.  The exact subgradient (the
@@ -394,14 +440,15 @@ def _minimize_one(layout, data, opts, engine, start, m_target):
                 # along it.  After an accepted step, a refused step is a
                 # stall and ends the search (see below).
                 exact = True
-                g = J.T @ subgrad(engine.loss, e)
-                delta = _solve_spd(H, g, context="newton step", names=names)
-                found = _backtrack(layout, data, opts, engine, flat, delta, L)
+                delta = yield "solve", H, g_exact
+                found = yield from _line_search(flat, delta, L, alphas, size)
             iters += 1
             if found is None:
                 stalled = True
                 break
-            cand, e_c, L_c = found
+            cand, e_c, L_c, trials = found
+            # The next search opens with a block that would have held this one.
+            size = 1 << (trials - 1).bit_length()
             step = float(np.max(np.abs(cand - flat)))
             flat, e, L = cand, e_c, L_c
             accepted_any = True
@@ -417,6 +464,128 @@ def _minimize_one(layout, data, opts, engine, start, m_target):
             # step was already negligible (start at the optimum).
             converged = True
     return _StartOutcome(flat, e, L, L_start, iters, converged, trace)
+
+
+def _evaluate(layout, data, engine, blocks):
+    """Normalize and evaluate blocks of trial rows in one batched call.
+
+    At most ``_BLOCK_ELEMENTS // n`` rows go in, shared out smallest
+    block first and at least one row per block, so a long block may be cut
+    to a prefix.  Per block: ``(rows, residuals, objectives, mask)``.
+    """
+    budget = _BLOCK_ELEMENTS // data.n
+    cut = list(blocks)
+    for k, j in enumerate(sorted(range(len(blocks)), key=lambda j: len(blocks[j]))):
+        cut[j] = blocks[j][: max(1, budget // (len(blocks) - k))]
+        budget -= len(cut[j])
+    F = np.concatenate(cut)
+    ok = packed_normalize(layout, F)
+    E = data.y - packed_mean(layout, F, data.X, data.Z)
+    Ls = engine.objective(E)
+    bounds = np.cumsum([0] + [len(c) for c in cut])
+    return [(F[a:b], E[a:b], Ls[a:b], ok[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _solve_each(H, g, names):
+    """``np.linalg.solve`` on a stack of systems; a singular one gets its error."""
+    try:
+        steps = list(np.linalg.solve(H, g[..., None])[..., 0])
+    except np.linalg.LinAlgError:
+        steps = [np.full(g.shape[1], np.nan)] * len(g)
+    for k, step in enumerate(steps):
+        if not np.all(np.isfinite(step)):
+            # Alone, to tell the singular systems from the others.
+            try:
+                steps[k] = _solve_spd(H[k], g[k], context="newton step", names=names)
+            except RankDeficiencyError as err:
+                steps[k] = err
+    return steps
+
+
+def _newton_steps(layout, data, opts, requests, names, work):
+    """Newton steps for ``(flat, score, weights, exact_score)`` requests.
+
+    One (S, n, P) Jacobian, stacked products and one batched solve; each
+    stacked product rounds as its one-start form.  The Jacobian and its
+    weighted copy are written into the two (>= S, n, P) arrays of
+    ``work``.  Per request: ``(H, step, J' exact_score)``, the last None
+    without an exact score, or the solver's error.
+    """
+    flats, scores, weights, exact_scores = zip(*requests)
+    J = packed_jacobian(layout, np.stack(flats), data.X, data.Z, out=work[0][: len(requests)])
+    g = np.matmul(J.transpose(0, 2, 1), np.stack(scores)[..., None])[..., 0]
+    JW = np.multiply(J, np.stack(weights)[..., None], out=work[1][: len(requests)])
+    H = np.matmul(JW.transpose(0, 2, 1), J)
+    # Ridge relative to the problem scale: an absolute 1e-10 is lost in
+    # rounding against design blocks of size ~1e6 and leaves the LU
+    # factorization exactly singular on low-rank weight states.
+    # Referencing H and g (both proportional to the loss) keeps the step
+    # exactly invariant under loss rescaling.  Python's max keeps its NaN rule.
+    diag = np.mean(np.abs(np.diagonal(H, axis1=1, axis2=2)), axis=1)
+    scale = [max(a, b, 1e-30) for a, b in zip(diag.tolist(), np.max(np.abs(g), axis=1).tolist())]
+    H += (opts.ridge * np.array(scale))[:, None, None] * np.eye(layout.size)
+    steps = _solve_each(H, g, names)
+    return [
+        s if isinstance(s, Exception) else (H[k], s, None if x is None else J[k].T @ x)
+        for k, (s, x) in enumerate(zip(steps, exact_scores))
+    ]
+
+
+def _lockstep(layout, data, opts, engine, starts, m_target):
+    """Run :func:`_minimize_one` from every start; the outcomes in start order.
+
+    The starts run in groups of at most ``_BLOCK_ELEMENTS // n``, the starts
+    of a group in lockstep.  A round serves the group's requests kind by
+    kind, steps, then solves, then evaluations, each kind in one batched
+    call, and sends each start its reply at once, so a request that follows
+    in the same round's order (the first trial after a step) is served in
+    the same round.  Every start follows its serial path bitwise.  If starts
+    fail, the error of the first one is raised.
+    """
+    names = {col: name for name, col in layout.scalars}
+    group = max(1, _BLOCK_ELEMENTS // data.n)
+    # The Newton steps reuse two Jacobian-sized arrays.  At large n these
+    # are the largest arrays of a fit, and a fresh pair per step makes the
+    # heap grow and shrink every step, page faults and all.
+    work = np.empty((2, min(group, len(starts)), data.n, layout.size))
+    # One batched server per request kind, in the order a round serves them.
+    servers = {
+        "step": lambda reqs: _newton_steps(layout, data, opts, reqs, names, work),
+        "solve": lambda reqs: _solve_each(*(np.stack(col) for col in zip(*reqs)), names),
+        "eval": lambda reqs: _evaluate(layout, data, engine, [rows for rows, in reqs]),
+    }
+    outcomes = [None] * len(starts)
+    errors = {}
+    for lo in range(0, len(starts), group):
+        gens = {
+            i: _minimize_one(layout, data, opts, engine, starts[i], m_target)
+            for i in range(lo, min(lo + group, len(starts)))
+        }
+        requests = {}
+
+        def send(ids, answers):
+            for i, answer in zip(ids, answers):
+                try:
+                    if isinstance(answer, Exception):
+                        requests[i] = gens[i].throw(answer)
+                    else:
+                        requests[i] = gens[i].send(answer)
+                except StopIteration as done:
+                    outcomes[i] = done.value
+                    requests.pop(i, None)
+                except Exception as err:
+                    errors[i] = err
+                    requests.pop(i, None)
+
+        send(list(gens), [None] * len(gens))
+        while requests:
+            for kind, serve in servers.items():
+                ids = [i for i, req in requests.items() if req[0] == kind]
+                if ids:
+                    send(ids, serve([requests[i][1:] for i in ids]))
+        if errors:
+            raise errors[min(errors)]
+    return outcomes
 
 
 def fit(model: ModelSpec, data: Dataset, opts: FitOptions) -> FitResult:
@@ -442,8 +611,7 @@ def fit(model: ModelSpec, data: Dataset, opts: FitOptions) -> FitResult:
     starts = _build_starts(layout, data, n_starts, opts.init_params)
     best: _StartOutcome | None = None
     best_index = 0
-    for si, start in enumerate(starts):
-        out = _minimize_one(layout, data, opts, engine, start, m_order.m)
+    for si, out in enumerate(_lockstep(layout, data, opts, engine, starts, m_order.m)):
         if best is None or out.objective < best.objective:
             best, best_index = out, si
     params = layout.unpack(best.flat)
@@ -454,7 +622,7 @@ def fit(model: ModelSpec, data: Dataset, opts: FitOptions) -> FitResult:
     stat_cov = None
     if model.p2 > 0:
         sigma_hat = estimate_sigma(model, params, data)
-        if a2 > 0:
+        if a2 * a2 > 0:  # a2 >= 0; its square underflows below ~1e-162
             stat_cov = stationary_covariance(a1, a2, sigma_hat, n)
     k = opts.loss_scale
     return FitResult(

@@ -78,8 +78,12 @@ class LossSpec:
         return self.kind is not LossKind.SQUARED_ERROR
 
     def label(self) -> str:
+        """``kind`` or ``kind:param``; the parameter reads back exactly."""
         if self.kind in (LossKind.QUANTILE, LossKind.HUBER):
-            return f"{self.kind.value}:{self.param:g}"
+            param = f"{self.param:g}"
+            if float(param) != self.param:
+                param = repr(float(self.param))
+            return f"{self.kind.value}:{param}"
         return self.kind.value
 
 

@@ -348,24 +348,57 @@ class ParamLayout:
         return {name: float(diff[i]) for name, i in self.scalars}
 
 
+def _rows(flat: np.ndarray) -> np.ndarray:
+    """``flat`` as a (rows, P) block: a 1-D vector is one row, viewed not copied."""
+    return flat[None] if flat.ndim == 1 else flat
+
+
+def _index(A, F, theta: slice) -> np.ndarray:
+    """``A @ theta`` for every row of F, as (rows, n).
+
+    A stacked product keeps each row a matrix-vector product, bitwise equal
+    to ``A @ F[r, theta]``; ``A @ F[:, theta].T`` would run a matrix-matrix
+    product that rounds differently.
+    """
+    return np.matmul(A, F[:, theta, None])[..., 0]
+
+
 def packed_mean(layout: ParamLayout, flat: np.ndarray, X, Z) -> np.ndarray:
-    """Regression mean over the rows of X and Z at the packed parameters."""
-    out = np.zeros(max(X.shape[0], Z.shape[0]))
+    """Regression mean over the rows of X and Z at packed parameters.
+
+    ``flat`` is a (rows, P) block, giving a (rows, n) mean, or one 1-D
+    vector, giving an (n,) mean.  Each row is computed exactly as alone.
+    """
+    F = _rows(flat)
+    out = np.zeros((F.shape[0], max(X.shape[0], Z.shape[0])))
     for t in layout.terms:
-        A = Z if t.stationary else X
-        out += flat[t.gamma] * link_value(t.link, A @ flat[t.theta])
-    return out
+        u = _index(Z if t.stationary else X, F, t.theta)
+        out += F[:, t.gamma, None] * link_value(t.link, u)
+    return out if flat.ndim > 1 else out[0]
 
 
-def packed_jacobian(layout: ParamLayout, flat: np.ndarray, X, Z) -> np.ndarray:
-    """Row-wise derivative of :func:`packed_mean` in the packed parameters."""
-    J = np.zeros((X.shape[0], layout.size))
+def packed_jacobian(layout: ParamLayout, flat: np.ndarray, X, Z, out=None) -> np.ndarray:
+    """Row-wise derivative of :func:`packed_mean` in the packed parameters.
+
+    A (rows, P) block gives (rows, n, P) Jacobians and one 1-D vector an
+    (n, P) Jacobian.  A (rows, n, P) ``out`` is overwritten and returned in
+    place of a new array.
+    """
+    F = _rows(flat)
+    if out is None:
+        J = np.zeros((F.shape[0], X.shape[0], layout.size))
+    else:
+        J = out
+        J.fill(0.0)
     for t in layout.terms:
         A = Z if t.stationary else X
-        u = A @ flat[t.theta]
-        J[:, t.theta] += (flat[t.gamma] * link_deriv(t.link, u))[:, None] * A
-        J[:, t.gamma] = link_value(t.link, u)
-    return J
+        u = _index(A, F, t.theta)
+        slope = F[:, t.gamma, None] * link_deriv(t.link, u)
+        # Column by column: one long strided loop each, not n short ones.
+        for j, col in enumerate(range(t.theta.start, t.theta.stop)):
+            J[:, :, col] += slope * A[:, j]
+        J[:, :, t.gamma] = link_value(t.link, u)
+    return J if flat.ndim > 1 else J[0]
 
 
 def regression_mean(model: ModelSpec, params: ParamVector, x, z):
@@ -401,34 +434,50 @@ def param_jacobian(model: ModelSpec, params: ParamVector, data: Dataset) -> np.n
     return packed_jacobian(layout, layout.pack(params), data.X, data.Z)
 
 
-def _unitize(theta: np.ndarray):
-    nrm = float(np.linalg.norm(theta))
-    if nrm <= 0.0 or not np.isfinite(nrm):
-        raise DegenerateParameterError("cannot normalize a zero index vector")
-    unit = theta / nrm
-    sign = 1.0
-    for v in unit:
-        if abs(v) > 1e-12:
-            sign = 1.0 if v > 0 else -1.0
-            break
-    return sign * unit, nrm, sign
+def _unitize(V: np.ndarray):
+    """Rows of a (rows, d) block at unit norm with a positive lead.
+
+    Returns ``(unit, nrm, sign)``: the lead is the first coordinate of the
+    unit row above 1e-12 in size, and ``sign`` is -1 where it is negative,
+    1 otherwise.  ``np.vecdot`` rounds as the ``np.linalg.norm`` of one
+    row.  A row whose norm is zero or not finite comes back meaningless;
+    callers test ``nrm``, under ``np.errstate`` if they want quiet.
+    """
+    nrm = np.sqrt(np.vecdot(V, V))
+    unit = V / nrm[:, None]
+    lead = unit[np.arange(unit.shape[0]), (np.abs(unit) > 1e-12).argmax(axis=1)]
+    sign = np.where(lead < 0, -1.0, 1.0)
+    return sign[:, None] * unit, nrm, sign
 
 
-def _coefficient_factor(link: LinkSpec, nrm: float, sign: float) -> float:
-    """What a coefficient absorbs when its index vector is divided by nrm*sign."""
+def _coefficient_factor(link: LinkSpec, nrm, sign):
+    """What a coefficient absorbs when its index vector is divided by nrm*sign.
+
+    ``np.float_power`` rounds as Python's float power; ``**`` on an array
+    squares by multiplication, which rounds differently.
+    """
     cls = classify_link(link)
     if isinstance(cls, HRegular):
-        return nrm**cls.order * sign**cls.order
+        return np.float_power(nrm, cls.order) * sign**cls.order
     return sign if _is_odd_link(link) else 1.0
 
 
 def packed_normalize(layout: ParamLayout, flat: np.ndarray) -> np.ndarray:
-    """:func:`normalize` on a packed vector, which it overwrites and returns."""
-    for theta, terms in layout.index_blocks:
-        flat[theta], nrm, sign = _unitize(flat[theta])
-        for t in terms:
-            flat[t.gamma] *= _coefficient_factor(t.link, nrm, sign)
-    return flat
+    """:func:`normalize` on packed parameters, which it overwrites.
+
+    ``flat`` is a (rows, P) block or one 1-D vector (one row).  Returns a
+    (rows,) mask of the rows whose index vectors all have a finite positive
+    norm; the other rows are left meaningless.
+    """
+    F = _rows(flat)
+    ok = np.ones(F.shape[0], dtype=bool)
+    with np.errstate(all="ignore"):
+        for theta, terms in layout.index_blocks:
+            F[:, theta], nrm, sign = _unitize(F[:, theta])
+            ok &= (nrm > 0.0) & (nrm < np.inf)
+            for t in terms:
+                F[:, t.gamma] *= _coefficient_factor(t.link, nrm, sign)
+    return ok
 
 
 def normalize(params: ParamVector, model: ModelSpec) -> ParamVector:
@@ -441,4 +490,7 @@ def normalize(params: ParamVector, model: ModelSpec) -> ParamVector:
     """
     validate_params(model, params)
     layout = ParamLayout(model)
-    return layout.unpack(packed_normalize(layout, layout.pack(params)))
+    flat = layout.pack(params)
+    if not packed_normalize(layout, flat).all():
+        raise DegenerateParameterError("cannot normalize a zero index vector")
+    return layout.unpack(flat)

@@ -234,6 +234,32 @@ def test_mc_cli_shape_determinism_and_rates(tmp_path):
     assert mse_csv in md.read_text()
 
 
+def test_mc_rejects_an_unknown_rate_parameter_before_running(tmp_path, capsys, monkeypatch):
+    def no_run(config):
+        raise AssertionError("the Monte Carlo ran")
+
+    monkeypatch.setattr("mollifit.cli.run_replications", no_run)
+    out = tmp_path / "t.csv"
+    code = run(["mc", "--example", "ex52", "--n", "50,60", "--rate", "gamma3",
+                "--out", str(out)])
+    assert code == 2
+    assert "gamma3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_forecast_survives_an_underflowing_curvature(tmp_path):
+    # Two LAD iterations leave the curvature a2 positive but so small that
+    # its square is 0.0; the covariance is then left out, not divided by.
+    data = tmp_path / "d.csv"
+    assert run(["simulate", "--example", "ex51", "--n", "50", "--seed", "2",
+                "--out", str(data)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"forecast": {"window": 40, "z_cols": ["z1", "z2"]},
+                               "fit": {"max_iter": 2}}))
+    assert run(["forecast", "--data", str(data), "--loss", "lad", "--config", str(cfg),
+                "--out", str(tmp_path / "rep.csv")]) == 0
+
+
 def test_forecast_cli(tmp_path):
     rng = np.random.default_rng(8)
     T = 70

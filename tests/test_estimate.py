@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
+from mollifit import estimate
 from mollifit.dgp import ErrorLaw, gen_example, rng_for
 from mollifit.estimate import (
     FitOptions,
@@ -16,6 +17,7 @@ from mollifit.estimate import (
 )
 from mollifit.exceptions import (
     ConfigurationError,
+    DegenerateParameterError,
     EmptyBlockError,
     RankDeficiencyError,
     ShapeError,
@@ -24,6 +26,7 @@ from mollifit.losses import (
     LAD,
     SQUARED_ERROR,
     MollifierOrder,
+    eval_loss,
     huber_loss,
     kde_mollifier_order,
     quantile_loss,
@@ -34,6 +37,8 @@ from mollifit.model import (
     ModelSpec,
     ParamLayout,
     ParamVector,
+    packed_mean,
+    packed_normalize,
     param_jacobian,
     regression_mean,
 )
@@ -337,3 +342,136 @@ def test_fit_multistart_tiebreak_deterministic():
     assert a.start_index == b.start_index
     layout = ParamLayout(spec)
     np.testing.assert_array_equal(layout.pack(a.params), layout.pack(b.params))
+
+
+def test_stationary_covariance_rejects_an_underflowing_curvature():
+    with pytest.raises(ConfigurationError):
+        stationary_covariance(1.0, 1e-170, np.eye(2), 100)
+    with pytest.raises(ConfigurationError):
+        stationary_covariance(1.0, 0.0, np.eye(2), 100)
+
+
+def test_fit_leaves_stat_cov_empty_when_the_curvature_underflows(monkeypatch):
+    data, spec, _ = gen_example("ex51", 100, ErrorLaw.NORMAL, rng_for(95, 0))
+    monkeypatch.setattr(estimate, "estimate_a2", lambda *args: 1e-170)
+    res = fit(spec, data, FitOptions(loss=LAD, multistart=1))
+    assert res.a2_hat == 1e-170
+    assert res.sigma_hat is not None and res.stat_cov is None
+
+
+@pytest.mark.parametrize("example", ["ex51", "ex52"])
+@pytest.mark.parametrize("loss", [LAD, HUB, Q3], ids=["lad", "huber", "quantile"])
+def test_global_fit_equals_the_best_single_start_fit(example, loss):
+    # The starts of a global fit run in lockstep; each must follow the path
+    # it follows alone, so the global fit is the best single-start fit.
+    data, spec, _ = gen_example(example, 200, ErrorLaw.T2, rng_for(31, 0))
+    layout = ParamLayout(spec)
+    glob = fit(spec, data, FitOptions(loss=loss))
+    singles = [
+        fit(spec, data, FitOptions(loss=loss, multistart=1, init_params=layout.unpack(start)))
+        for start in estimate._build_starts(layout, data, 8)
+    ]
+    objectives = [float(np.sum(eval_loss(loss, r.residuals))) for r in singles]
+    best = singles[objectives.index(min(objectives))]
+    assert glob.start_index == objectives.index(min(objectives))
+    np.testing.assert_array_equal(layout.pack(glob.params), layout.pack(best.params))
+    np.testing.assert_array_equal(glob.residuals, best.residuals)
+    assert glob.objective == best.objective
+    assert glob.iterations == best.iterations
+    assert glob.converged == best.converged
+
+
+def _serial_search(layout, data, loss, flat, delta, L, damping):
+    alpha = 1.0
+    for _ in range(60):
+        cand = flat + alpha * delta
+        assert packed_normalize(layout, cand).all()
+        e = data.y - packed_mean(layout, cand, data.X, data.Z)
+        L_c = float(np.sum(eval_loss(loss, e)))
+        if L_c < L:
+            return cand, e, L_c
+        alpha *= damping
+    return None
+
+
+def _block_search(layout, data, loss, flat, delta, L, damping, size):
+    engine = estimate._LossEngine(loss)
+    search = estimate._line_search(flat, delta, L, estimate._alphas(damping), size)
+    rows = 0
+    try:
+        request = next(search)
+        while True:
+            (reply,) = estimate._evaluate(layout, data, engine, [request[1]])
+            rows += len(reply[0])
+            request = search.send(reply)
+    except StopIteration as done:
+        return done.value, rows
+
+
+@pytest.mark.parametrize("budget", [2**14, 2**9])
+def test_block_line_search_matches_a_serial_search(monkeypatch, budget):
+    # 2**9 elements hold two rows at n=200, so long blocks are cut to a prefix.
+    monkeypatch.setattr(estimate, "_BLOCK_ELEMENTS", budget)
+    data, spec, truth = gen_example("ex51", 200, ErrorLaw.T2, rng_for(32, 0))
+    layout = ParamLayout(spec)
+    flat = layout.pack(truth)
+    delta = np.random.default_rng(3).standard_normal(layout.size)
+    e0 = data.y - packed_mean(layout, flat, data.X, data.Z)
+    L0 = float(np.sum(eval_loss(LAD, e0)))
+    trial_objectives = []
+    alpha = 1.0
+    for _ in range(60):
+        cand = flat + alpha * delta
+        packed_normalize(layout, cand)
+        trial_objectives.append(float(np.sum(eval_loss(LAD, data.y - packed_mean(layout, cand, data.X, data.Z)))))
+        alpha *= 0.5
+    # Thresholds that accept at the first, a middle and no trial at all.
+    for L in (np.inf, L0, float(np.median(trial_objectives)), min(trial_objectives)):
+        expect = _serial_search(layout, data, LAD, flat, delta, L, 0.5)
+        for size in (1, 4):
+            got, rows = _block_search(layout, data, LAD, flat, delta, L, 0.5, size)
+            if expect is None:
+                assert got is None
+                assert rows == 60
+                continue
+            cand, e, L_c = expect
+            np.testing.assert_array_equal(got[0], cand)
+            np.testing.assert_array_equal(got[1], e)
+            assert got[2] == L_c
+            assert trial_objectives[got[3] - 1] == L_c
+
+
+def test_solve_each_isolates_a_singular_system():
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((3, 4, 4))
+    H = A @ A.transpose(0, 2, 1)
+    H[1] = 0.0
+    g = rng.standard_normal((3, 4))
+    steps = estimate._solve_each(H, g, names=None)
+    assert isinstance(steps[1], RankDeficiencyError)
+    for k in (0, 2):
+        np.testing.assert_array_equal(steps[k], np.linalg.solve(H[k], g[k]))
+
+
+def test_lockstep_raises_the_error_of_the_first_failing_start(monkeypatch):
+    # Start 2 fails in the first round and start 1 in the third; run one
+    # by one, start 1 fails first.
+    def fake(layout, data, opts, engine, start, m_target):
+        k = int(start[0])
+        for r in range(3):
+            yield "eval", start[None]
+            if (k, r) == (2, 0):
+                raise RankDeficiencyError("start 2")
+            if (k, r) == (1, 2):
+                raise DegenerateParameterError("start 1")
+        return k
+
+    monkeypatch.setattr(estimate, "_minimize_one", fake)
+    data, spec, _ = gen_example("ex52", 100, ErrorLaw.NORMAL, rng_for(33, 0))
+    layout = ParamLayout(spec)
+    engine = estimate._LossEngine(LAD)
+    opts = FitOptions(loss=LAD)
+    starts = [np.full(layout.size, float(k)) for k in range(4)]
+    with pytest.raises(DegenerateParameterError, match="start 1"):
+        estimate._lockstep(layout, data, opts, engine, starts, 1e4)
+    assert estimate._lockstep(layout, data, opts, engine, [starts[0], starts[3]], 1e4) == [0, 3]

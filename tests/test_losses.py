@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from mollifit.cli import parse_loss
 from mollifit.exceptions import ConfigurationError, UnsupportedLossError
 from mollifit.losses import (
     LAD,
@@ -36,6 +37,16 @@ def test_spec_validation():
         huber_loss(-1.0)
     with pytest.raises(ConfigurationError):
         MollifierOrder(0.5)
+
+
+def test_loss_labels_read_back_exactly():
+    for token in ("quantile:0.3", "huber:1.25", "quantile:0.1", "quantile:0.5",
+                  "quantile:0.9", "lad", "se"):
+        assert parse_loss(token).label() == token
+    for spec in (quantile_loss(0.1234567), quantile_loss(1 / 3), huber_loss(1234567.25),
+                 huber_loss(1e-7), quantile_loss(0.3), LAD):
+        assert parse_loss(spec.label()) == spec
+    assert quantile_loss(0.1234567).label() == "quantile:0.1234567"
 
 
 def test_lipschitz_constants():

@@ -21,8 +21,12 @@ from mollifit.model import (
     ParamLayout,
     ParamVector,
     classify_link,
+    link_deriv,
     link_value,
     normalize,
+    packed_jacobian,
+    packed_mean,
+    packed_normalize,
     param_jacobian,
     power_link,
     regression_mean,
@@ -217,6 +221,94 @@ def test_normalize_zero_vector_error():
     ms = ModelSpec((IDENTITY,), (), 2, 1)
     with pytest.raises(DegenerateParameterError):
         normalize(ParamVector([np.zeros(2)], [1.0], [], []), ms)
+
+
+def _block_models():
+    for ln in ALL_LINKS:
+        for ls in ALL_LINKS:
+            share = isinstance(classify_link(ln), IRegular)
+            yield ModelSpec((ln, IDENTITY), (ls,), 2, 3, share_theta1=share)
+
+
+def _serial_mean(layout, flat, X, Z):
+    out = np.zeros(X.shape[0])
+    for t in layout.terms:
+        A = Z if t.stationary else X
+        out += flat[t.gamma] * link_value(t.link, A @ flat[t.theta])
+    return out
+
+
+def _serial_jacobian(layout, flat, X, Z):
+    J = np.zeros((X.shape[0], layout.size))
+    for t in layout.terms:
+        A = Z if t.stationary else X
+        u = A @ flat[t.theta]
+        J[:, t.theta] += (flat[t.gamma] * link_deriv(t.link, u))[:, None] * A
+        J[:, t.gamma] = link_value(t.link, u)
+    return J
+
+
+def _serial_normalize(layout, flat):
+    flat = flat.copy()
+    for theta, terms in layout.index_blocks:
+        nrm = float(np.linalg.norm(flat[theta]))
+        unit = flat[theta] / nrm
+        sign = next((1.0 if v > 0 else -1.0 for v in unit if abs(v) > 1e-12), 1.0)
+        flat[theta] = sign * unit
+        for t in terms:
+            cls = classify_link(t.link)
+            if isinstance(cls, HRegular):
+                flat[t.gamma] *= nrm**cls.order * sign**cls.order
+            elif t.link == HERMITE_EXP_LINEAR:
+                flat[t.gamma] *= sign
+    return flat
+
+
+def test_block_kernels_equal_their_rows_bitwise():
+    # Each row of a block must round exactly as a one-vector evaluation
+    # written with matrix-vector products, np.linalg.norm and Python float
+    # powers.  A matrix-matrix product for the index, einsum or (V*V).sum
+    # for the norm, or an array ** for the coefficient factor each round
+    # differently on a share of the rows.
+    rng = np.random.default_rng(7)
+    n, rows = 300, 40
+    for ms in _block_models():
+        layout = ParamLayout(ms)
+        X = np.cumsum(rng.standard_normal((n, 2)), axis=0)
+        Z = rng.standard_normal((n, 3))
+        F = rng.standard_normal((rows, layout.size)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
+        M = packed_mean(layout, F, X, Z)
+        J = packed_jacobian(layout, F, X, Z)
+        G = F.copy()
+        assert packed_normalize(layout, G).all()
+        assert M.shape == (rows, n) and J.shape == (rows, n, layout.size)
+        out = np.full(J.shape, np.nan)
+        assert packed_jacobian(layout, F, X, Z, out=out) is out
+        np.testing.assert_array_equal(out, J)
+        for r in range(rows):
+            np.testing.assert_array_equal(M[r], _serial_mean(layout, F[r], X, Z))
+            np.testing.assert_array_equal(M[r], packed_mean(layout, F[r], X, Z))
+            np.testing.assert_array_equal(J[r], _serial_jacobian(layout, F[r], X, Z))
+            np.testing.assert_array_equal(J[r], packed_jacobian(layout, F[r], X, Z))
+            np.testing.assert_array_equal(G[r], _serial_normalize(layout, F[r]))
+            one = F[r].copy()
+            assert packed_normalize(layout, one).shape == (1,)
+            np.testing.assert_array_equal(one, G[r])
+
+
+def test_block_normalize_flags_degenerate_rows_only():
+    ms = ModelSpec((IDENTITY,), (GAUSS_PDF,), 2, 2)
+    layout = ParamLayout(ms)
+    F = np.array([
+        [3.0, -4.0, 2.0, 1.0, 1.0, 1.0],
+        [0.0, 0.0, 2.0, 1.0, 1.0, 1.0],
+        [1.0, 1.0, 2.0, np.inf, 0.0, 1.0],
+        [-1.0, 0.0, 2.0, 0.0, -2.0, 1.0],
+    ])
+    G = F.copy()
+    np.testing.assert_array_equal(packed_normalize(layout, G), [True, False, False, True])
+    for r in (0, 3):
+        np.testing.assert_array_equal(G[r], _serial_normalize(layout, F[r]))
 
 
 def test_dataset_validation():
