@@ -29,6 +29,7 @@ from .estimate import (
     estimate_a2,
     estimate_sigma,
     fit,
+    fit_many,
     quadratic_minimizer,
     stationary_covariance,
 )

@@ -131,6 +131,14 @@ _int, _float, _str, _bool = _typed(int), _typed(float, int), _typed(str), _typed
 _matrix = partial(_items, partial(_items, _float))
 
 
+def _workers(value) -> int:
+    """A worker count: a JSON integer of at least 1."""
+    value = _int(value)
+    if value < 1:
+        raise ValueError(f"must be at least 1, got {value}")
+    return value
+
+
 def _example(value) -> str:
     if value not in _EXAMPLES:
         raise ValueError(f"expected one of {', '.join(_EXAMPLES)}, got {value!r}")
@@ -160,7 +168,7 @@ class Option(NamedTuple):
 
 # How argparse reads one item of a flag: an int or float option's flag
 # text is typed, any other option's is a string.
-_FLAG_TYPES = {_int: int, _float: float}
+_FLAG_TYPES = {_int: int, _workers: int, _float: float}
 
 # dgp keys that only a generic simulation reads: a packaged example fixes
 # its regressor processes.
@@ -191,7 +199,7 @@ OPTIONS = (
     Option("mc.rate_params", ("mc",), "--rate", _str, [], is_list=True),
     Option("mc.start_at_truth", ("mc",), "--global-starts", _bool, True,
            help="use the estimator's own multistart instead of truth-anchored fits"),
-    Option("mc.threads", ("mc",), "--threads", _int, 1),
+    Option("mc.threads", ("mc",), "--threads", _workers, 1),
     Option("forecast.window", ("forecast",), "--window", _int, required=True),
     Option("forecast.x_cols", ("forecast",), "--x-cols", _str, [], is_list=True),
     Option("forecast.z_cols", ("forecast",), "--z-cols", _str, [], is_list=True),
@@ -478,7 +486,8 @@ def cmd_forecast(args) -> int:
         fit_options=FitOptions(loss=opts["loss"], **opts["fit"]),
         quantile_levels=fc["quantiles"],
     )
-    reports = run_forecast(table, config, threads=args.threads or 1)
+    threads = 1 if args.threads is None else _checked(_workers, args.threads, "--threads")
+    reports = run_forecast(table, config, threads=threads)
     _write_text(args.out, report_csv(reports))
     if args.dump:
         dump_dates = dates[fc["window"]:] if dates else None

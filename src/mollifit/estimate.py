@@ -15,18 +15,22 @@ to the current residual spread (which makes the kink losses behave like
 smooth ones globally), and the final iterations run at the sample-size order
 ``m = floor(n^(2+eps))``, which also prices the reported curvature average.
 
-The starts of a fit run in lockstep.  Each start's iteration is a generator
-(``_minimize_one``) that keeps its own control flow (rungs, budgets, the
-subgradient fallback, the stall rules) and yields its work as requests; one
-loop (``_lockstep``) serves the requests of all live starts with batched
-calls: (S, n, P) Jacobians with one batched solve for the Newton steps, and
-blocks of line-search trial points.  A search tries ``alpha = 1, d, d^2,
-...`` (repeated multiplication by ``damping``) in blocks of rows that double
-in size, and takes the first row that lowers ``L_n``.  A budget of
-``_BLOCK_ELEMENTS`` elements caps the (rows, n) trial blocks and the number
-of starts per lockstep group, so at large n a fit runs one start and one
-trial at a time.  Every batched operation rounds as its one-start form, so
-each start follows its serial path bit for bit.
+The starts of a fit, and the fits of one :func:`fit_many` call, run in
+lockstep.  Each start's iteration is a generator (``_minimize_one``) that
+keeps its own control flow (rungs, budgets, the subgradient fallback, the
+stall rules) and yields its work as requests; one loop (``_lockstep``)
+serves the requests of all live (fit, start) jobs of one sample size with
+batched calls: (S, n, P) Jacobians with one batched solve for the Newton
+steps, and blocks of line-search trial points.  A call whose rows all come
+from one dataset uses that dataset's (n, d) regressor blocks; a call that
+mixes datasets gathers per-row (rows, n, d) blocks.  A search tries
+``alpha = 1, d, d^2, ...`` (repeated multiplication by ``damping``) in
+blocks of rows that double in size, and takes the first row that lowers
+``L_n``.  A budget of ``_BLOCK_ELEMENTS`` elements caps the (rows, n) trial
+blocks and the number of jobs per lockstep group, so at large n a fit runs
+one start and one trial at a time.  Every batched operation rounds as its
+one-start form, so each start follows its serial path bit for bit, and
+``fit_many`` returns for each dataset what ``fit`` returns alone.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .exceptions import (
     ConfigurationError,
     DegenerateParameterError,
     EmptyBlockError,
+    MollifitError,
     RankDeficiencyError,
     ShapeError,
 )
@@ -70,7 +75,7 @@ from .model import (
 
 _MAX_BACKTRACKS = 60
 # Most elements in one (rows, n) block of trial residuals; also caps the
-# starts that run in lockstep.
+# (fit, start) jobs that run in lockstep.
 _BLOCK_ELEMENTS = 2**14
 _RUNG_FACTOR = 25.0
 _RUNG_ITER_CAP = 15
@@ -466,21 +471,38 @@ def _minimize_one(layout, data, opts, engine, start, m_target):
     return _StartOutcome(flat, e, L, L_start, iters, converged, trace)
 
 
-def _evaluate(layout, data, engine, blocks):
-    """Normalize and evaluate blocks of trial rows in one batched call.
+def _regressors(datas, counts):
+    """``(y, X, Z)`` for consecutive blocks of ``counts`` rows from ``datas``.
 
-    At most ``_BLOCK_ELEMENTS // n`` rows go in, shared out smallest
-    block first and at least one row per block, so a long block may be cut
-    to a prefix.  Per block: ``(rows, residuals, objectives, mask)``.
+    One dataset's own arrays when it serves every row; otherwise per-row
+    (rows, n) and (rows, n, d) copies, C-ordered like a dataset's blocks.
     """
-    budget = _BLOCK_ELEMENTS // data.n
+    if all(d is datas[0] for d in datas):
+        return datas[0].y, datas[0].X, datas[0].Z
+    return tuple(
+        np.repeat(np.stack([getattr(d, name) for d in datas]), counts, axis=0)
+        for name in ("y", "X", "Z")
+    )
+
+
+def _evaluate(layout, engine, requests):
+    """Normalize and evaluate ``(data, rows)`` requests in one batched call.
+
+    The requests share one n.  At most ``_BLOCK_ELEMENTS // n`` rows go in,
+    shared out smallest block first and at least one row per block, so a
+    long block may be cut to a prefix.  Per request: ``(rows, residuals,
+    objectives, mask)``.
+    """
+    datas, blocks = zip(*requests)
+    budget = _BLOCK_ELEMENTS // datas[0].n
     cut = list(blocks)
     for k, j in enumerate(sorted(range(len(blocks)), key=lambda j: len(blocks[j]))):
         cut[j] = blocks[j][: max(1, budget // (len(blocks) - k))]
         budget -= len(cut[j])
     F = np.concatenate(cut)
     ok = packed_normalize(layout, F)
-    E = data.y - packed_mean(layout, F, data.X, data.Z)
+    y, X, Z = _regressors(datas, [len(c) for c in cut])
+    E = y - packed_mean(layout, F, X, Z)
     Ls = engine.objective(E)
     bounds = np.cumsum([0] + [len(c) for c in cut])
     return [(F[a:b], E[a:b], Ls[a:b], ok[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
@@ -502,8 +524,8 @@ def _solve_each(H, g, names):
     return steps
 
 
-def _newton_steps(layout, data, opts, requests, names, work):
-    """Newton steps for ``(flat, score, weights, exact_score)`` requests.
+def _newton_steps(layout, opts, requests, names, work):
+    """Newton steps for ``(data, flat, score, weights, exact_score)`` requests.
 
     One (S, n, P) Jacobian, stacked products and one batched solve; each
     stacked product rounds as its one-start form.  The Jacobian and its
@@ -511,8 +533,9 @@ def _newton_steps(layout, data, opts, requests, names, work):
     ``work``.  Per request: ``(H, step, J' exact_score)``, the last None
     without an exact score, or the solver's error.
     """
-    flats, scores, weights, exact_scores = zip(*requests)
-    J = packed_jacobian(layout, np.stack(flats), data.X, data.Z, out=work[0][: len(requests)])
+    datas, flats, scores, weights, exact_scores = zip(*requests)
+    _, X, Z = _regressors(datas, [1] * len(datas))
+    J = packed_jacobian(layout, np.stack(flats), X, Z, out=work[0][: len(requests)])
     g = np.matmul(J.transpose(0, 2, 1), np.stack(scores)[..., None])[..., 0]
     JW = np.multiply(J, np.stack(weights)[..., None], out=work[1][: len(requests)])
     H = np.matmul(JW.transpose(0, 2, 1), J)
@@ -531,35 +554,38 @@ def _newton_steps(layout, data, opts, requests, names, work):
     ]
 
 
-def _lockstep(layout, data, opts, engine, starts, m_target):
-    """Run :func:`_minimize_one` from every start; the outcomes in start order.
+def _lockstep(layout, opts, engine, jobs):
+    """Run :func:`_minimize_one` for every ``(data, start, m_target)`` job.
 
-    The starts run in groups of at most ``_BLOCK_ELEMENTS // n``, the starts
-    of a group in lockstep.  A round serves the group's requests kind by
-    kind, steps, then solves, then evaluations, each kind in one batched
-    call, and sends each start its reply at once, so a request that follows
-    in the same round's order (the first trial after a step) is served in
-    the same round.  Every start follows its serial path bitwise.  If starts
-    fail, the error of the first one is raised.
+    The jobs share one n and run in groups of at most ``_BLOCK_ELEMENTS //
+    n``, the jobs of a group in lockstep.  A round serves the group's
+    requests kind by kind, steps, then solves, then evaluations, each kind
+    in one batched call that carries each request's dataset, and sends each
+    job its reply at once, so a request that follows in the same round's
+    order (the first trial after a step) is served in the same round.
+    Every job follows its serial path bitwise.  Per job, in order: its
+    :class:`_StartOutcome`, or the exception it raised.
     """
     names = {col: name for name, col in layout.scalars}
-    group = max(1, _BLOCK_ELEMENTS // data.n)
+    n = jobs[0][0].n
+    group = max(1, _BLOCK_ELEMENTS // n)
     # The Newton steps reuse two Jacobian-sized arrays.  At large n these
     # are the largest arrays of a fit, and a fresh pair per step makes the
     # heap grow and shrink every step, page faults and all.
-    work = np.empty((2, min(group, len(starts)), data.n, layout.size))
+    work = np.empty((2, min(group, len(jobs)), n, layout.size))
     # One batched server per request kind, in the order a round serves them.
     servers = {
-        "step": lambda reqs: _newton_steps(layout, data, opts, reqs, names, work),
-        "solve": lambda reqs: _solve_each(*(np.stack(col) for col in zip(*reqs)), names),
-        "eval": lambda reqs: _evaluate(layout, data, engine, [rows for rows, in reqs]),
+        "step": lambda reqs: _newton_steps(layout, opts, reqs, names, work),
+        "solve": lambda reqs: _solve_each(
+            np.stack([H for _, H, _ in reqs]), np.stack([g for _, _, g in reqs]), names
+        ),
+        "eval": lambda reqs: _evaluate(layout, engine, reqs),
     }
-    outcomes = [None] * len(starts)
-    errors = {}
-    for lo in range(0, len(starts), group):
+    outcomes = [None] * len(jobs)
+    for lo in range(0, len(jobs), group):
         gens = {
-            i: _minimize_one(layout, data, opts, engine, starts[i], m_target)
-            for i in range(lo, min(lo + group, len(starts)))
+            i: _minimize_one(layout, jobs[i][0], opts, engine, jobs[i][1], jobs[i][2])
+            for i in range(lo, min(lo + group, len(jobs)))
         }
         requests = {}
 
@@ -574,7 +600,7 @@ def _lockstep(layout, data, opts, engine, starts, m_target):
                     outcomes[i] = done.value
                     requests.pop(i, None)
                 except Exception as err:
-                    errors[i] = err
+                    outcomes[i] = err
                     requests.pop(i, None)
 
         send(list(gens), [None] * len(gens))
@@ -582,38 +608,25 @@ def _lockstep(layout, data, opts, engine, starts, m_target):
             for kind, serve in servers.items():
                 ids = [i for i, req in requests.items() if req[0] == kind]
                 if ids:
-                    send(ids, serve([requests[i][1:] for i in ids]))
-        if errors:
-            raise errors[min(errors)]
+                    send(ids, serve([(jobs[i][0], *requests[i][1:]) for i in ids]))
     return outcomes
 
 
-def fit(model: ModelSpec, data: Dataset, opts: FitOptions) -> FitResult:
-    """Minimize the robust objective over all model parameters.
+def _result(layout, data, opts, m_order, outcomes) -> FitResult:
+    """The fit's result from its starts' outcomes; the first start's error if any failed.
 
-    Runs the annealed-smoothing Newton iteration from every start (a
-    least-squares warm start plus deterministic unit-sphere points for the
-    nonlinear index blocks) and returns the start with the smallest exact
-    objective, ties broken by the lowest start index.
+    The best start has the smallest exact objective, ties broken by the
+    lowest start index.
     """
-    n = data.n
-    layout = ParamLayout(model)
-    layout.check_widths(data.X, data.Z)
-    d_used = max(t.theta.stop - t.theta.start for t in layout.terms)
-    if n < d_used + len(layout.terms) + 1:
-        raise ShapeError(
-            f"need n >= {d_used + len(layout.terms) + 1} rows for this model, got {n}"
-        )
-    identity_only = all(t.link.kind is LinkKind.IDENTITY for t in layout.terms)
-    n_starts = opts.multistart if opts.multistart is not None else (1 if identity_only else 8)
-    engine = _LossEngine(opts.loss)
-    m_order = MollifierOrder.from_sample_size(n, opts.m_epsilon)
-    starts = _build_starts(layout, data, n_starts, opts.init_params)
+    for out in outcomes:
+        if isinstance(out, Exception):
+            raise out
     best: _StartOutcome | None = None
     best_index = 0
-    for si, out in enumerate(_lockstep(layout, data, opts, engine, starts, m_order.m)):
+    for si, out in enumerate(outcomes):
         if best is None or out.objective < best.objective:
             best, best_index = out, si
+    model = layout.model
     params = layout.unpack(best.flat)
     res = best.residuals
     a1 = estimate_a1(res, opts.loss)
@@ -623,7 +636,7 @@ def fit(model: ModelSpec, data: Dataset, opts: FitOptions) -> FitResult:
     if model.p2 > 0:
         sigma_hat = estimate_sigma(model, params, data)
         if a2 * a2 > 0:  # a2 >= 0; its square underflows below ~1e-162
-            stat_cov = stationary_covariance(a1, a2, sigma_hat, n)
+            stat_cov = stationary_covariance(a1, a2, sigma_hat, data.n)
     k = opts.loss_scale
     return FitResult(
         params=params,
@@ -639,3 +652,59 @@ def fit(model: ModelSpec, data: Dataset, opts: FitOptions) -> FitResult:
         mollifier_m=m_order.m,
         descent_trace=[k * v for v in best.trace] if opts.track_descent else None,
     )
+
+
+def fit_many(model: ModelSpec, datasets, opts: FitOptions) -> list:
+    """:func:`fit` on each dataset, the independent fits run in lockstep.
+
+    Per dataset, in input order: its :class:`FitResult`, bitwise the one
+    ``fit`` returns, or the :class:`MollifitError` that ``fit`` raises.  Any
+    other exception propagates.  The datasets are grouped by n, and the
+    (fit, start) jobs of one n share the lockstep groups.
+    """
+    layout = ParamLayout(model)
+    min_rows = max(t.theta.stop - t.theta.start for t in layout.terms) + len(layout.terms) + 1
+    identity_only = all(t.link.kind is LinkKind.IDENTITY for t in layout.terms)
+    n_starts = opts.multistart if opts.multistart is not None else (1 if identity_only else 8)
+    engine = _LossEngine(opts.loss)
+    out = [None] * len(datasets)
+    plans = {}
+    by_n = {}
+    for k, data in enumerate(datasets):
+        try:
+            layout.check_widths(data.X, data.Z)
+            if data.n < min_rows:
+                raise ShapeError(f"need n >= {min_rows} rows for this model, got {data.n}")
+            plans[k] = (
+                MollifierOrder.from_sample_size(data.n, opts.m_epsilon),
+                _build_starts(layout, data, n_starts, opts.init_params),
+            )
+        except MollifitError as err:
+            out[k] = err
+            continue
+        by_n.setdefault(data.n, []).append(k)
+    for ks in by_n.values():
+        jobs = [(datasets[k], start, plans[k][0].m) for k in ks for start in plans[k][1]]
+        outcomes = iter(_lockstep(layout, opts, engine, jobs))
+        for k in ks:
+            m_order, starts = plans[k]
+            mine = [next(outcomes) for _ in starts]
+            try:
+                out[k] = _result(layout, datasets[k], opts, m_order, mine)
+            except MollifitError as err:
+                out[k] = err
+    return out
+
+
+def fit(model: ModelSpec, data: Dataset, opts: FitOptions) -> FitResult:
+    """Minimize the robust objective over all model parameters.
+
+    Runs the annealed-smoothing Newton iteration from every start (a
+    least-squares warm start plus deterministic unit-sphere points for the
+    nonlinear index blocks) and returns the start with the smallest exact
+    objective, ties broken by the lowest start index.
+    """
+    (res,) = fit_many(model, [data], opts)
+    if isinstance(res, MollifitError):
+        raise res
+    return res

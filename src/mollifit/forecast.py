@@ -11,11 +11,14 @@ values mean the model beats the constant benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import groupby
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .estimate import FitOptions, fit
+# fit stays a module attribute for bench/tracing.py, which wraps it here.
+from .estimate import FitOptions, fit, fit_many  # noqa: F401
 from .exceptions import ConfigurationError, MollifitError
 from .losses import LossKind, LossSpec, eval_loss, subgrad
 from .model import Dataset, ModelSpec, ParamLayout, regression_mean
@@ -93,22 +96,34 @@ def _extract_columns(table: dict, config: ForecastConfig):
     return y, X, Z
 
 
-def _forecast_one(y, X, Z, config, opts, t):
-    """(model error, benchmark error, fallback flag) for forecast origin t."""
-    w = config.window
-    sl = slice(t - w, t)
-    window_data = Dataset(y=y[sl], X=X[sl], Z=Z[sl])
-    bench = constant_predictor(y[sl], opts.loss)
-    fallback = False
+def _prediction(model: ModelSpec, res, x, z):
+    """The fitted mean at one row, or None if the fit failed or it is not finite."""
+    if isinstance(res, MollifitError):
+        return None
     try:
-        res = fit(config.model, window_data, opts)
-        yhat = regression_mean(config.model, res.params, X[t], Z[t])
-        if not np.isfinite(yhat):
-            raise MollifitError("non-finite prediction")
+        yhat = regression_mean(model, res.params, x, z)
     except MollifitError:
-        yhat = bench
-        fallback = True
-    return y[t] - yhat, y[t] - bench, fallback
+        return None
+    return yhat if np.isfinite(yhat) else None
+
+
+def _forecast_chunk(y, X, Z, config, tasks) -> list:
+    """(model error, benchmark error, fallback flag) per ``(opts, t)`` task.
+
+    Consecutive tasks with one set of options share one :func:`fit_many`
+    call over their windows, the ``window`` rows before each origin t.
+    """
+    w = config.window
+    out = []
+    for opts, group in groupby(tasks, key=lambda task: task[0]):
+        ts = [t for _, t in group]
+        windows = [Dataset(y=y[t - w : t], X=X[t - w : t], Z=Z[t - w : t]) for t in ts]
+        for t, window, res in zip(ts, windows, fit_many(config.model, windows, opts)):
+            bench = constant_predictor(window.y, opts.loss)
+            yhat = _prediction(config.model, res, X[t], Z[t])
+            fallback = yhat is None
+            out.append((y[t] - (bench if fallback else yhat), y[t] - bench, fallback))
+    return out
 
 
 def _rolling_forecasts(table: dict, config: ForecastConfig, losses, threads: int):
@@ -125,8 +140,8 @@ def _rolling_forecasts(table: dict, config: ForecastConfig, losses, threads: int
     tasks = []
     for loss in losses:
         opts = replace(config.fit_options or FitOptions(loss=loss), loss=loss)
-        tasks.extend((y, X, Z, config, opts, t) for t in range(w, T))
-    rows = parallel_map(_forecast_one, tasks, threads)
+        tasks.extend((opts, t) for t in range(w, T))
+    rows = parallel_map(partial(_forecast_chunk, y, X, Z, config), tasks, threads)
     out = []
     for k in range(len(losses)):
         part = rows[k * (T - w) : (k + 1) * (T - w)]

@@ -218,9 +218,11 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float).ravel()
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        self.Z = np.atleast_2d(np.asarray(self.Z, dtype=float))
+        # C order: a regressor block then rounds the same in a fit of its
+        # own and gathered with other datasets' blocks (fit_many).
+        self.y = np.ascontiguousarray(self.y, dtype=float).ravel()
+        self.X = np.ascontiguousarray(np.atleast_2d(self.X), dtype=float)
+        self.Z = np.ascontiguousarray(np.atleast_2d(self.Z), dtype=float)
         n = self.y.size
         if self.X.shape[0] != n or self.Z.shape[0] != n:
             raise ShapeError("y, X and Z must have the same number of rows")
@@ -356,8 +358,9 @@ def _rows(flat: np.ndarray) -> np.ndarray:
 def _index(A, F, theta: slice) -> np.ndarray:
     """``A @ theta`` for every row of F, as (rows, n).
 
-    A stacked product keeps each row a matrix-vector product, bitwise equal
-    to ``A @ F[r, theta]``; ``A @ F[:, theta].T`` would run a matrix-matrix
+    ``A`` is one (n, d) block or a (rows, n, d) block per row.  A stacked
+    product keeps each row a matrix-vector product, bitwise equal to
+    ``A @ F[r, theta]``; ``A @ F[:, theta].T`` would run a matrix-matrix
     product that rounds differently.
     """
     return np.matmul(A, F[:, theta, None])[..., 0]
@@ -367,10 +370,12 @@ def packed_mean(layout: ParamLayout, flat: np.ndarray, X, Z) -> np.ndarray:
     """Regression mean over the rows of X and Z at packed parameters.
 
     ``flat`` is a (rows, P) block, giving a (rows, n) mean, or one 1-D
-    vector, giving an (n,) mean.  Each row is computed exactly as alone.
+    vector, giving an (n,) mean.  X and Z are (n, d) blocks shared by every
+    row, or (rows, n, d) blocks, one per row.  Each row is computed exactly
+    as alone.
     """
     F = _rows(flat)
-    out = np.zeros((F.shape[0], max(X.shape[0], Z.shape[0])))
+    out = np.zeros((F.shape[0], max(X.shape[-2], Z.shape[-2])))
     for t in layout.terms:
         u = _index(Z if t.stationary else X, F, t.theta)
         out += F[:, t.gamma, None] * link_value(t.link, u)
@@ -381,12 +386,12 @@ def packed_jacobian(layout: ParamLayout, flat: np.ndarray, X, Z, out=None) -> np
     """Row-wise derivative of :func:`packed_mean` in the packed parameters.
 
     A (rows, P) block gives (rows, n, P) Jacobians and one 1-D vector an
-    (n, P) Jacobian.  A (rows, n, P) ``out`` is overwritten and returned in
-    place of a new array.
+    (n, P) Jacobian; X and Z are shared or per-row as there.  A (rows, n, P)
+    ``out`` is overwritten and returned in place of a new array.
     """
     F = _rows(flat)
     if out is None:
-        J = np.zeros((F.shape[0], X.shape[0], layout.size))
+        J = np.zeros((F.shape[0], X.shape[-2], layout.size))
     else:
         J = out
         J.fill(0.0)
@@ -396,7 +401,7 @@ def packed_jacobian(layout: ParamLayout, flat: np.ndarray, X, Z, out=None) -> np
         slope = F[:, t.gamma, None] * link_deriv(t.link, u)
         # Column by column: one long strided loop each, not n short ones.
         for j, col in enumerate(range(t.theta.start, t.theta.stop)):
-            J[:, :, col] += slope * A[:, j]
+            J[:, :, col] += slope * A[..., j]
         J[:, :, t.gamma] = link_value(t.link, u)
     return J if flat.ndim > 1 else J[0]
 

@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import groupby
 
 import numpy as np
 
 from .dgp import ErrorLaw, example_model, gen_example, rng_for
-from .estimate import FitOptions, fit
+# fit stays a module attribute for bench/tracing.py, which wraps it here.
+from .estimate import FitOptions, fit, fit_many  # noqa: F401
 from .exceptions import ConfigurationError, MollifitError, UndefinedRateError
 from .losses import LossKind, LossSpec
 from .model import ParamLayout
@@ -40,10 +43,16 @@ class McConfig:
     def __post_init__(self):
         if self.reps < 2:
             raise ConfigurationError("need at least 2 replications")
-        if not self.n_list or list(self.n_list) != sorted(self.n_list):
-            raise ConfigurationError("n_list must be non-empty and ascending")
+        if not self.n_list or any(a >= b for a, b in zip(self.n_list, self.n_list[1:])):
+            raise ConfigurationError("n_list must be non-empty and strictly ascending")
         if not self.losses or not self.laws:
             raise ConfigurationError("need at least one loss and one error law")
+        labels = [loss.label() for loss in self.losses]
+        if len(set(labels)) < len(labels):
+            raise ConfigurationError(f"losses must be distinct, got {', '.join(labels)}")
+        if len(set(self.laws)) < len(self.laws):
+            raise ConfigurationError(
+                f"error laws must be distinct, got {', '.join(l.value for l in self.laws)}")
 
 
 @dataclass
@@ -70,25 +79,29 @@ class McTable:
         return self.cells[(param, loss, law, n)]
 
 
-def _replicate(config: McConfig, cell, rep: int):
-    """Named estimation errors of one replication, or None if its fit failed."""
-    law, loss, n, key = cell
-    recenter = loss.param if loss.kind is LossKind.QUANTILE else None
-    rng = rng_for(config.base_seed, *key, rep)
-    data, model, truth = gen_example(
-        config.example, n, law, rng, recenter_tau=recenter,
-        error_scale=config.error_scale,
-    )
-    opts = replace(config.fit_options, loss=loss)
-    if config.start_at_truth:
-        opts = replace(opts, init_params=truth, multistart=1)
-    try:
-        res = fit(model, data, opts)
-    except MollifitError:
-        return None
-    if not res.converged:
-        return None
-    return ParamLayout(model).named_errors(res.params, truth)
+def _replicate_chunk(config: McConfig, tasks) -> list:
+    """Named estimation errors per ``(cell, rep)`` task, None where the fit failed.
+
+    Consecutive tasks of one (loss, n) share one :func:`fit_many` call.
+    """
+    out = []
+    for (loss, n), group in groupby(tasks, key=lambda task: task[0][1:3]):
+        recenter = loss.param if loss.kind is LossKind.QUANTILE else None
+        datasets = []
+        for (law, _, _, key), rep in group:
+            data, model, truth = gen_example(
+                config.example, n, law, rng_for(config.base_seed, *key, rep),
+                recenter_tau=recenter, error_scale=config.error_scale,
+            )
+            datasets.append(data)
+        opts = replace(config.fit_options, loss=loss)
+        if config.start_at_truth:
+            opts = replace(opts, init_params=truth, multistart=1)
+        layout = ParamLayout(model)
+        for res in fit_many(model, datasets, opts):
+            ok = not isinstance(res, MollifitError) and res.converged
+            out.append(layout.named_errors(res.params, truth) if ok else None)
+    return out
 
 
 def run_replications(config: McConfig) -> McTable:
@@ -112,8 +125,8 @@ def run_replications(config: McConfig) -> McTable:
         for si, loss in enumerate(config.losses)
         for ni, n in enumerate(config.n_list)
     ]
-    tasks = [(config, cell, rep) for cell in cells for rep in range(config.reps)]
-    results = parallel_map(_replicate, tasks, config.threads)
+    tasks = [(cell, rep) for cell in cells for rep in range(config.reps)]
+    results = parallel_map(partial(_replicate_chunk, config), tasks, config.threads)
     for c, (law, loss, n, _) in enumerate(cells):
         cell_results = results[c * config.reps : (c + 1) * config.reps]
         errors = [e for e in cell_results if e is not None]

@@ -247,6 +247,47 @@ def test_mc_rejects_an_unknown_rate_parameter_before_running(tmp_path, capsys, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--n", "60,60", "--rate", "theta11"], "n_list"),
+    (["--n", "60,50"], "n_list"),
+    (["--n", "60", "--losses", "l2,lad"], "losses"),
+    (["--n", "60", "--laws", "d1,normal"], "laws"),
+])
+def test_mc_rejects_repeated_table_entries(tmp_path, capsys, monkeypatch, flags, named):
+    # A repeated sample size, loss or law would print its table rows twice
+    # (and a repeated n divides by log(n/n) = 0 in the rate).
+    def no_run(config):
+        raise AssertionError("the Monte Carlo ran")
+
+    monkeypatch.setattr("mollifit.cli.run_replications", no_run)
+    out = tmp_path / "t.csv"
+    code = run(["mc", "--example", "ex51", "--reps", "2", *flags, "--out", str(out)])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_2(tmp_path, capsys, threads):
+    data = tmp_path / "d.csv"
+    assert run(["simulate", "--example", "ex51", "--n", "60", "--seed", "3",
+                "--out", str(data)]) == 0
+    capsys.readouterr()
+    commands = [
+        ["mc", "--example", "ex51", "--n", "60", "--reps", "2", "--losses", "l2", "--laws", "d1"],
+        ["forecast", "--data", str(data), "--window", "50", "--z-cols", "z1,z2"],
+    ]
+    for command in commands:
+        out = tmp_path / f"{command[0]}.csv"
+        assert run([*command, f"--threads={threads}", "--out", str(out)]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mc": {"threads": int(threads)}}))
+    assert run([*commands[0], "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 2
+    assert "mc.threads" in capsys.readouterr().err
+
+
 def test_forecast_survives_an_underflowing_curvature(tmp_path):
     # Two LAD iterations leave the curvature a2 positive but so small that
     # its square is 0.0; the covariance is then left out, not divided by.

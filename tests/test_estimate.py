@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from mollifit.estimate import (
     estimate_a2,
     estimate_sigma,
     fit,
+    fit_many,
     quadratic_minimizer,
     stationary_covariance,
 )
@@ -19,6 +21,7 @@ from mollifit.exceptions import (
     ConfigurationError,
     DegenerateParameterError,
     EmptyBlockError,
+    MollifitError,
     RankDeficiencyError,
     ShapeError,
 )
@@ -381,6 +384,57 @@ def test_global_fit_equals_the_best_single_start_fit(example, loss):
     assert glob.converged == best.converged
 
 
+def _outcome_bytes(layout, res):
+    """Every FitResult field as bytes (params packed), or an error's type and message."""
+    if isinstance(res, MollifitError):
+        return type(res), str(res)
+    out = {}
+    for f in dataclasses.fields(res):
+        value = getattr(res, f.name)
+        if f.name == "params":
+            value = layout.pack(value)
+        out[f.name] = None if value is None else np.asarray(value).tobytes()
+    return out
+
+
+def _fit_alone(spec, data, opts):
+    try:
+        return fit(spec, data, opts)
+    except MollifitError as err:
+        return err
+
+
+@pytest.mark.parametrize("example", ["ex51", "ex52"])
+@pytest.mark.parametrize("loss", [LAD, HUB, Q3], ids=["lad", "huber", "quantile"])
+def test_fit_many_equals_fit_on_each_dataset(monkeypatch, example, loss):
+    # Mixed n in one call: the jobs of the two n=60 fits share lockstep
+    # groups and gathered regressor blocks.  The bad datasets between them
+    # (too few rows, too narrow an X) get fit's error in their slots and
+    # leave their neighbours alone.  A small element budget splits the
+    # groups across fit boundaries and cuts the trial blocks.
+    datasets = []
+    for k, n in enumerate((60, 90, 60)):
+        data, spec, truth = gen_example(example, n, ErrorLaw.T2, rng_for(34, k))
+        datasets.append(data)
+    a, b, c = datasets
+    short = Dataset(y=a.y[:4], X=a.X[:4], Z=a.Z[:4])
+    narrow = Dataset(y=b.y, X=b.X[:, :1], Z=b.Z)
+    datasets = [a, short, b, narrow, c]
+    layout = ParamLayout(spec)
+    for opts in (
+        FitOptions(loss=loss, track_descent=True),
+        FitOptions(loss=loss, track_descent=True, init_params=truth, multistart=1),
+    ):
+        expect = [_outcome_bytes(layout, _fit_alone(spec, d, opts)) for d in datasets]
+        assert [type(e) for e in expect] == [dict, tuple, dict, tuple, dict]
+        assert expect[1][0] is ShapeError and expect[3][0] is ShapeError
+        for budget in (estimate._BLOCK_ELEMENTS, 700):
+            with monkeypatch.context() as patch:
+                patch.setattr(estimate, "_BLOCK_ELEMENTS", budget)
+                got = fit_many(spec, datasets, opts)
+            assert [_outcome_bytes(layout, r) for r in got] == expect, budget
+
+
 def _serial_search(layout, data, loss, flat, delta, L, damping):
     alpha = 1.0
     for _ in range(60):
@@ -401,7 +455,7 @@ def _block_search(layout, data, loss, flat, delta, L, damping, size):
     try:
         request = next(search)
         while True:
-            (reply,) = estimate._evaluate(layout, data, engine, [request[1]])
+            (reply,) = estimate._evaluate(layout, engine, [(data, request[1])])
             rows += len(reply[0])
             request = search.send(reply)
     except StopIteration as done:
@@ -454,8 +508,8 @@ def test_solve_each_isolates_a_singular_system():
 
 
 def test_lockstep_raises_the_error_of_the_first_failing_start(monkeypatch):
-    # Start 2 fails in the first round and start 1 in the third; run one
-    # by one, start 1 fails first.
+    # Job 2 fails in the first round and job 1 in the third; the others run
+    # on to their outcomes, and a fit reports its first failing start.
     def fake(layout, data, opts, engine, start, m_target):
         k = int(start[0])
         for r in range(3):
@@ -471,7 +525,10 @@ def test_lockstep_raises_the_error_of_the_first_failing_start(monkeypatch):
     layout = ParamLayout(spec)
     engine = estimate._LossEngine(LAD)
     opts = FitOptions(loss=LAD)
-    starts = [np.full(layout.size, float(k)) for k in range(4)]
+    jobs = [(data, np.full(layout.size, float(k)), 1e4) for k in range(4)]
+    out = estimate._lockstep(layout, opts, engine, jobs)
+    assert [out[0], out[3]] == [0, 3]
+    assert isinstance(out[1], DegenerateParameterError) and str(out[1]) == "start 1"
+    assert isinstance(out[2], RankDeficiencyError) and str(out[2]) == "start 2"
     with pytest.raises(DegenerateParameterError, match="start 1"):
-        estimate._lockstep(layout, data, opts, engine, starts, 1e4)
-    assert estimate._lockstep(layout, data, opts, engine, [starts[0], starts[3]], 1e4) == [0, 3]
+        estimate._result(layout, data, opts, None, out)

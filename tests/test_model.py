@@ -294,6 +294,16 @@ def test_block_kernels_equal_their_rows_bitwise():
             one = F[r].copy()
             assert packed_normalize(layout, one).shape == (1,)
             np.testing.assert_array_equal(one, G[r])
+        # Per-row (rows, n, d) regressor blocks, as when one call serves
+        # several datasets: each row as a 2-D call on its own blocks.
+        Xs = np.cumsum(rng.standard_normal((rows, n, 2)), axis=1)
+        Zs = rng.standard_normal((rows, n, 3))
+        M3 = packed_mean(layout, F, Xs, Zs)
+        J3 = packed_jacobian(layout, F, Xs, Zs)
+        assert M3.shape == (rows, n) and J3.shape == (rows, n, layout.size)
+        for r in range(rows):
+            np.testing.assert_array_equal(M3[r], packed_mean(layout, F[r], Xs[r], Zs[r]))
+            np.testing.assert_array_equal(J3[r], packed_jacobian(layout, F[r], Xs[r], Zs[r]))
 
 
 def test_block_normalize_flags_degenerate_rows_only():
@@ -309,6 +319,16 @@ def test_block_normalize_flags_degenerate_rows_only():
     np.testing.assert_array_equal(packed_normalize(layout, G), [True, False, False, True])
     for r in (0, 3):
         np.testing.assert_array_equal(G[r], _serial_normalize(layout, F[r]))
+
+
+def test_dataset_blocks_are_c_ordered():
+    # A Fortran-ordered or column-sliced block would run a different
+    # matrix-vector kernel alone than gathered with other datasets' blocks.
+    body = np.arange(24.0).reshape(6, 4)
+    data = Dataset(y=body[:, 0], X=np.asfortranarray(body[:, 1:3]), Z=body[:, 3:])
+    for block in (data.y, data.X, data.Z):
+        assert block.flags.c_contiguous
+    np.testing.assert_array_equal(data.X, body[:, 1:3])
 
 
 def test_dataset_validation():

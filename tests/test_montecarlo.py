@@ -41,6 +41,16 @@ def test_config_validation():
         _config(losses=[])
 
 
+def test_config_rejects_repeated_entries():
+    # Repeated sample sizes, losses or laws would repeat table rows.
+    with pytest.raises(ConfigurationError, match="n_list"):
+        _config(n_list=[50, 50])
+    with pytest.raises(ConfigurationError, match="losses"):
+        _config(losses=[HUB, huber_loss(1.25)])
+    with pytest.raises(ConfigurationError, match="laws"):
+        _config(laws=[ErrorLaw.NORMAL, ErrorLaw.T2, ErrorLaw.NORMAL])
+
+
 def test_zero_noise_squared_error_recovery():
     # Near-zero noise and square loss: every parameter is recovered
     # essentially exactly.

@@ -1,4 +1,5 @@
 import concurrent.futures
+import math
 
 import numpy as np
 import pytest
@@ -27,19 +28,26 @@ def pools(monkeypatch):
     return made
 
 
-def _affine(a, b):
-    return 3 * a + b
+def _tagged(chunk):
+    """Each item of a chunk with the chunk's first item and length."""
+    return [(chunk[0], len(chunk), item) for item in chunk]
 
 
 def test_parallel_map_keeps_input_order(pools):
-    items = [(a, -a) for a in range(37)]
-    expect = [2 * a for a in range(37)]
-    assert parallel_map(_affine, items, 1) == expect
+    items = list(range(37))
+    one = parallel_map(_tagged, items, 1)
+    assert one == [(0, 37, i) for i in items]
     assert pools == []
-    assert parallel_map(_affine, items, 2) == expect
+    two = parallel_map(_tagged, items, 2)
     assert pools == [2]
-    assert parallel_map(_affine, [], 2) == []
-    assert parallel_map(_affine, [(1, 1)], 2) == [4]
+    assert [item for _, _, item in two] == items
+    size = math.ceil(37 / (2 * parallel.CHUNKS_PER_WORKER))
+    # Chunk k holds items k*size .. k*size + size - 1, the last one fewer.
+    assert [(first, n) for first, n, _ in two] == [
+        (i - i % size, min(size, 37 - (i - i % size))) for i in items
+    ]
+    assert parallel_map(_tagged, [], 2) == []
+    assert parallel_map(_tagged, [5], 2) == [(5, 1, 5)]
     assert pools == [2]
 
 

@@ -6,13 +6,16 @@ search and a single start anchored at the simulation truth.  Each dataset
 is ``gen_example(example, n, ErrorLaw.T2, rng_for(seed, 0))``, with the
 errors recentred at tau for the quantile loss.
 
-    PYTHONPATH=src python tools/fitgrid.py dump OUT.npz
+    PYTHONPATH=src python tools/fitgrid.py dump [--batched] OUT.npz
     python tools/fitgrid.py compare A.npz B.npz
 
 ``dump`` fits the grid with the ``mollifit`` on the import path and writes
 every ``FitResult`` field of every fit (``params`` packed, the descent trace
-recorded).  ``compare`` lists each fit and field whose dtype, shape or bytes
-differ between two dumps, and exits 1 if there is any.
+recorded).  With ``--batched`` it fits through ``fit_many``, one call per
+(example, loss, protocol) over all n and seeds, so the datasets of a call
+have mixed n; its dump must equal the serial one.  ``compare`` lists each
+fit and field whose dtype, shape or bytes differ between two dumps, and
+exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -51,20 +54,33 @@ def grid():
                         yield key, model, data, opts
 
 
-def dump(path: str) -> int:
-    from mollifit.estimate import fit
+def dump(path: str, batched: bool = False) -> int:
+    from mollifit.estimate import fit, fit_many
     from mollifit.model import ParamLayout
 
+    results = {}
+    if batched:
+        calls = {}
+        for key, model, data, opts in grid():
+            example, *_, loss, protocol = key.split("-")
+            calls.setdefault((example, loss, protocol), (model, opts, []))[2].append((key, data))
+        for model, opts, keyed in calls.values():
+            keys, datasets = zip(*keyed)
+            results.update(zip(keys, ((model, r) for r in fit_many(model, datasets, opts))))
+    else:
+        for key, model, data, opts in grid():
+            results[key] = model, fit(model, data, opts)
     arrays = {}
-    for key, model, data, opts in grid():
-        res = fit(model, data, opts)
+    for key, (model, res) in results.items():
+        if isinstance(res, Exception):
+            raise res
         for f in dataclasses.fields(res):
             value = getattr(res, f.name)
             if f.name == "params":
                 value = ParamLayout(model).pack(value)
             arrays[f"{key}/{f.name}"] = np.array("None") if value is None else np.asarray(value)
     np.savez(path, **arrays)
-    print(f"{len(arrays)} arrays from {len(arrays) // len(dataclasses.fields(res))} fits -> {path}")
+    print(f"{len(arrays)} arrays from {len(results)} fits -> {path}")
     return 0
 
 
@@ -85,13 +101,15 @@ def compare(path_a: str, path_b: str) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("dump").add_argument("out")
+    dump_parser = sub.add_parser("dump")
+    dump_parser.add_argument("--batched", action="store_true")
+    dump_parser.add_argument("out")
     cmp_parser = sub.add_parser("compare")
     cmp_parser.add_argument("a")
     cmp_parser.add_argument("b")
     args = parser.parse_args(argv)
     if args.command == "dump":
-        return dump(args.out)
+        return dump(args.out, args.batched)
     return compare(args.a, args.b)
 
 
