@@ -13,6 +13,7 @@ use child streams of a common seed, e.g. ``rng_for(base_seed, cell, rep)``.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -107,7 +108,7 @@ def gen_linear_process(coeffs, n: int, rng: np.random.Generator) -> np.ndarray:
     for a in coeffs:
         if a.shape != (d, d):
             raise ShapeError("all coefficient matrices must be square and same size")
-    if not np.allclose(coeffs[0], np.eye(d)):
+    if not np.array_equal(coeffs[0], np.eye(d)):
         raise ConfigurationError("leading linear-process coefficient must be the identity")
     lag = len(coeffs) - 1
     # Main innovations first, presample burn-in after: adding taps (even
@@ -123,22 +124,39 @@ def gen_linear_process(coeffs, n: int, rng: np.random.Generator) -> np.ndarray:
     return w
 
 
+def _var1_path(rho: np.ndarray, shocks: np.ndarray) -> np.ndarray:
+    """Rows s_t = rho s_{t-1} + shocks_t of a VAR(1), started at s_{-1} = 0.
+
+    A diagonal ``rho`` runs each coordinate as a scalar recursion.  That
+    rounds exactly as the matrix step does, because the off-diagonal
+    products the matrix step adds are exact zeros.  Any other ``rho`` keeps
+    the matrix step: a hand-written multiply-add sums its products in
+    another order than ``rho @ s`` and rounds differently.
+    """
+    s = np.empty_like(shocks)
+    if np.array_equal(rho, np.diag(np.diag(rho))):
+        for j, r in enumerate(np.diag(rho).tolist()):
+            path = itertools.accumulate(shocks[:, j].tolist(), lambda prev, e, r=r: r * prev + e)
+            s[:, j] = np.fromiter(path, float, count=len(shocks))
+        return s
+    prev = np.zeros(shocks.shape[1])
+    for t, e in enumerate(shocks):
+        prev = rho @ prev + e
+        s[t] = prev
+    return s
+
+
 def gen_unit_root(config: DgpConfig, rng: np.random.Generator) -> np.ndarray:
     """x_t = rho1 x_{t-1} + sigma1 w_t with x_0 = 0."""
     coeffs = config.lin_proc_coeffs or [np.eye(config.d1)]
     w = gen_linear_process(coeffs, config.n, rng) @ config.sigma1.T
-    if np.allclose(config.rho1, np.eye(config.d1)):
+    if np.array_equal(config.rho1, np.eye(config.d1)):
         return np.cumsum(w, axis=0)
     # Allowed for robustness experiments, but outside the unit-root theory.
     import warnings
 
     warnings.warn("rho1 is not the identity; x_t is not a unit-root process")
-    x = np.zeros((config.n, config.d1))
-    prev = np.zeros(config.d1)
-    for t in range(config.n):
-        prev = config.rho1 @ prev + w[t]
-        x[t] = prev
-    return x
+    return _var1_path(config.rho1, w)
 
 
 def gen_trending_stationary(config: DgpConfig, rng: np.random.Generator) -> np.ndarray:
@@ -146,14 +164,8 @@ def gen_trending_stationary(config: DgpConfig, rng: np.random.Generator) -> np.n
     eigvals = np.linalg.eigvals(config.rho2)
     if np.max(np.abs(eigvals)) >= 1.0:
         raise ConfigurationError("rho2 must have spectral radius < 1")
-    total = config.n + VAR_BURN_IN
-    eps = rng.standard_normal((total, config.d2)) @ config.sigma2.T
-    v = np.zeros((total, config.d2))
-    prev = np.zeros(config.d2)
-    for t in range(total):
-        prev = config.rho2 @ prev + eps[t]
-        v[t] = prev
-    v = v[VAR_BURN_IN:]
+    eps = rng.standard_normal((config.n + VAR_BURN_IN, config.d2)) @ config.sigma2.T
+    v = _var1_path(config.rho2, eps)[VAR_BURN_IN:]
     if config.trend is TrendKind.LINEAR:
         tau = np.arange(1, config.n + 1) / config.n
         v = v + tau[:, None]

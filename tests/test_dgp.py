@@ -6,6 +6,7 @@ from scipy import stats
 
 from mollifit.dgp import (
     DgpConfig,
+    _var1_path,
     ErrorLaw,
     TrendKind,
     dataset_from_csv,
@@ -55,6 +56,9 @@ def test_linear_process_validation():
         gen_linear_process([], 10, rng_for(0, 0))
     with pytest.raises(ConfigurationError):
         gen_linear_process([0.5 * np.eye(2)], 10, rng_for(0, 0))
+    # A leading tap that is only close to the identity is not the identity.
+    with pytest.raises(ConfigurationError):
+        gen_linear_process([1.000005 * np.eye(2)], 10, rng_for(0, 0))
     with pytest.raises(ShapeError):
         gen_linear_process([np.eye(2), np.zeros((3, 3))], 10, rng_for(0, 0))
 
@@ -72,6 +76,49 @@ def test_unit_root_warns_on_non_identity_rho1():
     x2 = gen_unit_root(cfg2, rng_for(0, 3))
     assert np.abs(x2[-1]).max() >= np.abs(x[-1]).max() * 0.5
     warnings.resetwarnings()
+
+
+def _matrix_step_path(rho, shocks):
+    """Reference VAR(1) recursion: one matrix step per row from s_{-1} = 0."""
+    s = np.zeros_like(shocks)
+    prev = np.zeros(shocks.shape[1])
+    for t in range(len(shocks)):
+        prev = rho @ prev + shocks[t]
+        s[t] = prev
+    return s
+
+
+COUPLED_RHO = np.array([[0.5, 0.2], [-0.1, 0.3]])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("r", [0.0, 0.3, 0.5, 0.9, -0.7])
+def test_var1_path_diagonal_equals_matrix_step_bitwise(r, d):
+    shocks = rng_for(20, d).standard_normal((700, d)) @ np.diag(np.arange(1.0, d + 1.0))
+    rho = r * np.eye(d)
+    assert _var1_path(rho, shocks).tobytes() == _matrix_step_path(rho, shocks).tobytes()
+
+
+def test_var1_path_coupled_equals_matrix_step_bitwise():
+    shocks = rng_for(21, 0).standard_normal((700, 2))
+    got = _var1_path(COUPLED_RHO, shocks)
+    assert got.tobytes() == _matrix_step_path(COUPLED_RHO, shocks).tobytes()
+
+
+@pytest.mark.parametrize(
+    "rho1",
+    [np.diag([0.8, 0.3]), COUPLED_RHO, 0.99999 * np.eye(2)],
+    ids=["diagonal", "coupled", "near-identity"],
+)
+def test_unit_root_non_identity_rho1_runs_the_var1_recursion(rho1):
+    # A near-identity rho1 (a local-to-unity design) is not the identity:
+    # it must not fall back to the random walk's cumulative sum.
+    cfg = _example_design(400)
+    cfg.rho1 = rho1
+    with pytest.warns(UserWarning, match="not a unit-root"):
+        x = gen_unit_root(cfg, rng_for(0, 3))
+    w = gen_linear_process([np.eye(2)], cfg.n, rng_for(0, 3)) @ cfg.sigma1.T
+    assert x.tobytes() == _matrix_step_path(rho1, w).tobytes()
 
 
 def test_unit_root_zero_innovation():

@@ -15,7 +15,10 @@ recorded).  With ``--batched`` it fits through ``fit_many``, one call per
 (example, loss, protocol) over all n and seeds, so the datasets of a call
 have mixed n; its dump must equal the serial one.  ``compare`` lists each
 fit and field whose dtype, shape or bytes differ between two dumps, and
-exits 1 if there is any.
+exits 1 if there is any.  It then sums up the differences against the gates
+of a change that is not bitwise: the largest parameter move, the fits whose
+winning start or convergence flag flipped, and the largest relative rise of
+the final objective L_n (the last entry of the descent trace).
 """
 
 from __future__ import annotations
@@ -95,7 +98,39 @@ def compare(path_a: str, path_b: str) -> int:
         if x.dtype != y.dtype or x.shape != y.shape or x.tobytes() != y.tobytes():
             diffs.append(f"{name}: differs")
     print("\n".join(diffs) if diffs else f"{len(a.files)} arrays, all bitwise equal")
+    if diffs:
+        print("\n".join(summary(a, b)))
     return 1 if diffs else 0
+
+
+def summary(a, b) -> list[str]:
+    """Largest |delta params|, flipped start/convergence, largest L_n rise."""
+    shared = set(a.files) & set(b.files)
+
+    def pair(name):
+        return (a[name], b[name]) if name in shared else (None, None)
+
+    moves, flips, rises = [], [], []
+    for fit in sorted({name.rsplit("/", 1)[0] for name in shared}):
+        x, y = pair(f"{fit}/params")
+        if x is not None and x.shape == y.shape:
+            moves.append((float(np.max(np.abs(y - x), initial=0.0)), fit))
+        for field in ("start_index", "converged"):
+            x, y = pair(f"{fit}/{field}")
+            if x is not None and x.tobytes() != y.tobytes():
+                flips.append(f"{fit}/{field} {x} -> {y}")
+        # Two traces may differ in length; only their final L_n counts.
+        x, y = pair(f"{fit}/descent_trace")
+        if x is not None and x.dtype.kind == y.dtype.kind == "f" and x.size and y.size:
+            rises.append(((y[-1] - x[-1]) / abs(x[-1]) if x[-1] else y[-1] - x[-1], fit))
+    top_move, top_rise = max(moves, default=None), max(rises, default=None)
+    return [
+        "largest |delta params|: "
+        + ("n/a" if top_move is None else f"{top_move[0]:.3g} ({top_move[1]})"),
+        "start_index or converged flipped: " + (", ".join(flips) if flips else "none"),
+        "largest relative rise of the final L_n: "
+        + ("none" if top_rise is None or top_rise[0] <= 0 else f"{top_rise[0]:.3g} ({top_rise[1]})"),
+    ]
 
 
 def main(argv=None) -> int:
