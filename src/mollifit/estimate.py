@@ -17,20 +17,27 @@ smooth ones globally), and the final iterations run at the sample-size order
 
 The starts of a fit, and the fits of one :func:`fit_many` call, run in
 lockstep.  Each start's iteration is a generator (``_minimize_one``) that
-keeps its own control flow (rungs, budgets, the subgradient fallback, the
-stall rules) and yields its work as requests; one loop (``_lockstep``)
-serves the requests of all live (fit, start) jobs of one sample size with
-batched calls: (S, n, P) Jacobians with one batched solve for the Newton
-steps, and blocks of line-search trial points.  A call whose rows all come
-from one dataset uses that dataset's (n, d) regressor blocks; a call that
-mixes datasets gathers per-row (rows, n, d) blocks.  A search tries
-``alpha = 1, d, d^2, ...`` (repeated multiplication by ``damping``) in
-blocks of rows that double in size, and takes the first row that lowers
-``L_n``.  A budget of ``_BLOCK_ELEMENTS`` elements caps the (rows, n) trial
-blocks and the number of jobs per lockstep group, so at large n a fit runs
-one start and one trial at a time.  Every batched operation rounds as its
-one-start form, so each start follows its serial path bit for bit, and
-``fit_many`` returns for each dataset what ``fit`` returns alone.
+keeps only its control flow (rungs, budgets, the subgradient fallback, the
+stall rules) and yields its work as requests of three kinds: a Newton step
+(the start's parameters, residuals, smoothing order and flags), a solve
+(the subgradient fallback's system) and a line search (parameters, step,
+objective to beat).  One loop (``_lockstep``) serves the requests of all
+live (fit, start) jobs of one sample size, each kind in one batched call
+per round, and owns the arithmetic: the step server computes the scores,
+weights and subgradients of all steps on one (S, n) residual block, then
+(S, n, P) Jacobians and one batched solve; the search server advances every
+pending search by one block of trial points in one evaluation and resumes
+a start only when its search ends.  A search tries ``alpha = 1, d, d^2,
+...`` (repeated multiplication by ``damping``) in blocks of rows that
+double in size, and takes the first row that lowers ``L_n``.  A budget of
+``_BLOCK_ELEMENTS`` elements caps the (rows, n) trial blocks and the number
+of jobs per lockstep group, so at large n a fit runs one start and one
+trial at a time.  Each group stacks the regressors of its datasets once; a
+call whose rows all come from one dataset uses that dataset's own arrays,
+and a call that mixes datasets gathers its rows by index.  Every batched
+operation rounds as its one-start form, so each start follows its serial
+path bit for bit, and ``fit_many`` returns for each dataset what ``fit``
+returns alone.
 """
 
 from __future__ import annotations
@@ -99,18 +106,19 @@ class FitOptions:
     init_params: ParamVector | None = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ConfigurationError("tol must be positive")
+        # Comparisons fail on NaN, so each check reads "is valid", not "is bad".
+        for name in ("tol", "m_epsilon", "loss_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
+        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise ConfigurationError(f"ridge must be finite and >= 0, got {self.ridge!r}")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be >= 1")
         if self.multistart is not None and self.multistart < 1:
             raise ConfigurationError("multistart must be >= 1")
         if not 0 < self.damping < 1:
             raise ConfigurationError("damping must lie in (0,1)")
-        if self.m_epsilon <= 0:
-            raise ConfigurationError("m_epsilon must be positive")
-        if self.loss_scale <= 0:
-            raise ConfigurationError("loss_scale must be positive")
 
 
 @dataclass
@@ -300,7 +308,7 @@ def _build_starts(layout: ParamLayout, data: Dataset, n_starts: int, init: Param
 
 
 class _LossEngine:
-    """Objective and smoothed derivatives of the (unscaled) loss.
+    """Objective and smoothed derivatives of the (unscaled) loss, over blocks of rows.
 
     A positive rescaling of the loss does not move its minimizer, so the
     optimizer always works with the base loss; the ``loss_scale`` test hook
@@ -316,15 +324,21 @@ class _LossEngine:
         """L_n of each row of a (rows, n) residual block."""
         return np.sum(eval_loss(self.loss, E), axis=-1)
 
-    def score(self, e, m):
-        if not self.smooth:
-            return subgrad(self.loss, e)
-        return mollified_grad(self.loss, m, e)
+    def derivatives(self, E, M, exact, fall_back):
+        """Scores, weights and exact subgradients of the rows of a (rows, n) block.
 
-    def weights(self, e, m):
+        ``M`` is a (rows, 1) column of smoothing orders.  A row flagged in
+        ``exact`` takes the exact subgradient as its score.  The subgradient
+        block is None unless a row is flagged in ``exact`` or ``fall_back``.
+        """
         if not self.smooth:
-            return np.full(e.shape, 2.0)
-        return mollified_hess(self.loss, m, e)
+            G = subgrad(self.loss, E)
+            return G, np.full(E.shape, 2.0), G
+        G = subgrad(self.loss, E) if (exact | fall_back).any() else None
+        scores = mollified_grad(self.loss, M, E)
+        if exact.any():
+            scores = np.where(exact[:, None], G, scores)
+        return scores, mollified_hess(self.loss, M, E), G
 
 
 def _rung_schedule(e0: np.ndarray, m_target: float, smooth: bool):
@@ -365,53 +379,28 @@ def _alphas(damping: float) -> np.ndarray:
     return out
 
 
-def _line_search(flat, delta, L, alphas, size):
-    """First point on ``flat + alpha*delta`` that lowers the exact objective.
+def _minimize_one(opts, smooth, flat, e, L, m_target):
+    """The annealed Newton iteration from one evaluated start, as a generator.
 
-    A sub-generator of :func:`_minimize_one`: it yields the trial rows in
-    ``alphas`` order, in blocks of ``size``, ``2*size``, ... rows, of which
-    :func:`_lockstep` may evaluate a prefix only.  Returns ``(flat, residuals,
-    objective, trials)`` at the first accepted, normalized row, ``trials``
-    counting it, or None when every trial is refused.  A row that cannot be
-    normalized before the accepted one raises, as a serial search would.
+    ``flat`` is the normalized start, ``e`` its residuals and ``L`` its
+    objective.  The generator keeps the start's control flow and yields its
+    work to :func:`_lockstep`, which sends the results back:
+    ``("step", flat, e, m, exact, fall_back)`` gets ``(H, delta,
+    max|delta|, g)`` from :func:`_newton_steps`, the Newton step of the
+    order-``m`` smoothed score (the exact subgradient if ``exact``) with its
+    ridged normal matrix, and ``g`` the gradient of the exact subgradient
+    if ``fall_back``, else None; ``("solve", H, g)`` gets the solution;
+    ``("search", flat, delta, L, size)`` gets the line search's result from
+    :func:`_search`.  A failed solve or search is thrown in.  Returns the
+    start's :class:`_StartOutcome`.
     """
-    k = 0
-    while k < alphas.size:
-        F, E, Ls, ok = yield "eval", flat + alphas[k : k + size, None] * delta
-        stop = ~ok | (Ls < L)
-        if stop.any():
-            i = int(stop.argmax())
-            if not ok[i]:
-                raise DegenerateParameterError("cannot normalize a zero index vector")
-            return F[i], E[i].copy(), float(Ls[i]), k + i + 1
-        k += Ls.size
-        size *= 2
-    return None
-
-
-def _minimize_one(layout, data, opts, engine, start, m_target):
-    """The annealed Newton iteration from one start, as a generator.
-
-    It yields its batched work to :func:`_lockstep` and gets
-    the results sent back: ``("eval", rows)`` the normalized rows with
-    their residuals, objectives and normalization mask (:func:`_evaluate`);
-    ``("step", flat, score, weights, exact_score)`` the ridged normal
-    matrix, the Newton step and the gradient of ``exact_score``
-    (:func:`_newton_steps`); ``("solve", H, g)`` the solution.  A failed
-    solve is thrown in.  Returns the start's :class:`_StartOutcome`.
-    """
-    F, E, Ls, ok = yield "eval", start[None]
-    if not ok[0]:
-        raise DegenerateParameterError("cannot normalize a zero index vector")
-    flat, e, L = F[0], E[0].copy(), float(Ls[0])
     L_start = L
     trace = [L]
     iters = 0
     accepted_any = False
     converged = False
     last_delta_sup = math.inf
-    rungs = _rung_schedule(e, m_target, engine.smooth)
-    alphas = _alphas(opts.damping)
+    rungs = _rung_schedule(e, m_target, smooth)
     size = 1
     for ri, m in enumerate(rungs):
         last = ri == len(rungs) - 1
@@ -422,20 +411,15 @@ def _minimize_one(layout, data, opts, engine, start, m_target):
         stalled = False
         exact = False
         for _ in range(budget):
-            score = subgrad(engine.loss, e) if exact else engine.score(e, m)
             # Where the subgradient fallback below can follow, its gradient
             # comes with the step: the Jacobian does not outlive the step.
-            can_fall_back = last and engine.smooth and not accepted_any
-            H, delta, g_exact = yield (
-                "step", flat, score, engine.weights(e, m),
-                subgrad(engine.loss, e) if can_fall_back else None,
-            )
-            last_delta_sup = float(np.max(np.abs(delta)))
+            can_fall_back = last and smooth and not accepted_any
+            H, delta, last_delta_sup, g_exact = yield "step", flat, e, m, exact, can_fall_back
             if last_delta_sup < rung_tol:
                 if last:
                     converged = True
                 break
-            found = yield from _line_search(flat, delta, L, alphas, size)
+            found = yield "search", flat, delta, L, size
             if found is None and can_fall_back:
                 # A residual within a kernel width of a kink can tip the
                 # smoothed score uphill for the exact objective, which would
@@ -446,7 +430,7 @@ def _minimize_one(layout, data, opts, engine, start, m_target):
                 # stall and ends the search (see below).
                 exact = True
                 delta = yield "solve", H, g_exact
-                found = yield from _line_search(flat, delta, L, alphas, size)
+                found = yield "search", flat, delta, L, size
             iters += 1
             if found is None:
                 stalled = True
@@ -471,86 +455,159 @@ def _minimize_one(layout, data, opts, engine, start, m_target):
     return _StartOutcome(flat, e, L, L_start, iters, converged, trace)
 
 
-def _regressors(datas, counts):
-    """``(y, X, Z)`` for consecutive blocks of ``counts`` rows from ``datas``.
+class _Regressors:
+    """The y, X and Z of a lockstep group's distinct datasets, stacked once.
 
-    One dataset's own arrays when it serves every row; otherwise per-row
-    (rows, n) and (rows, n, d) copies, C-ordered like a dataset's blocks.
+    Rows from one dataset get that dataset's own (n,) and (n, d) arrays;
+    rows that mix datasets get per-row (rows, n) and (rows, n, d) blocks,
+    gathered by index and C-ordered like a dataset's blocks.
     """
-    if all(d is datas[0] for d in datas):
-        return datas[0].y, datas[0].X, datas[0].Z
-    return tuple(
-        np.repeat(np.stack([getattr(d, name) for d in datas]), counts, axis=0)
-        for name in ("y", "X", "Z")
-    )
+
+    def __init__(self, datas):
+        self.datas = datas
+        self.n = datas[0].n
+        if len(datas) > 1:
+            self.stacked = [np.stack([getattr(d, name) for d in datas]) for name in ("y", "X", "Z")]
+
+    def take(self, rows: np.ndarray):
+        """``(y, X, Z)`` for rows from the datasets numbered ``rows``."""
+        if (rows == rows[0]).all():
+            data = self.datas[rows[0]]
+            return data.y, data.X, data.Z
+        return tuple(A[rows] for A in self.stacked)
 
 
-def _evaluate(layout, engine, requests):
-    """Normalize and evaluate ``(data, rows)`` requests in one batched call.
+def _evaluate(layout, engine, regs, F, rows):
+    """Normalize a (rows, P) block in place and evaluate each row on its dataset.
 
-    The requests share one n.  At most ``_BLOCK_ELEMENTS // n`` rows go in,
-    shared out smallest block first and at least one row per block, so a
-    long block may be cut to a prefix.  Per request: ``(rows, residuals,
-    objectives, mask)``.
+    ``rows`` numbers the dataset of each row in ``regs``.  Returns the
+    normalization mask, the (rows, n) residuals and the objectives.
     """
-    datas, blocks = zip(*requests)
-    budget = _BLOCK_ELEMENTS // datas[0].n
-    cut = list(blocks)
-    for k, j in enumerate(sorted(range(len(blocks)), key=lambda j: len(blocks[j]))):
-        cut[j] = blocks[j][: max(1, budget // (len(blocks) - k))]
-        budget -= len(cut[j])
-    F = np.concatenate(cut)
     ok = packed_normalize(layout, F)
-    y, X, Z = _regressors(datas, [len(c) for c in cut])
+    y, X, Z = regs.take(rows)
     E = y - packed_mean(layout, F, X, Z)
-    Ls = engine.objective(E)
-    bounds = np.cumsum([0] + [len(c) for c in cut])
-    return [(F[a:b], E[a:b], Ls[a:b], ok[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    return ok, E, engine.objective(E)
+
+
+@dataclass
+class _Search:
+    """A pending line search on ``flat + alpha*delta`` below the objective ``L``.
+
+    ``data`` numbers its dataset in the group's :class:`_Regressors`; ``k``
+    trials are done and the next block asks for ``size`` rows.
+    """
+
+    data: int
+    flat: np.ndarray
+    delta: np.ndarray
+    L: float
+    size: int
+    k: int = 0
+
+
+def _search(layout, engine, regs, searches, alphas):
+    """Advance every pending line search by one block of trials, in one evaluation.
+
+    ``searches`` maps a job to its :class:`_Search`, which tries
+    ``alpha = alphas[k], alphas[k+1], ...`` in blocks of ``size``,
+    ``2*size``, ... rows and takes the first row that lowers ``L``.  At
+    most ``_BLOCK_ELEMENTS // n`` rows go in, shared out shortest block
+    first and at least one row per block, so a long block may be cut to a
+    prefix.  Returns, per job whose search ended: ``(row, residuals,
+    objective, trials)`` at the first accepted row, ``trials`` counting it;
+    None when every trial is refused; or a
+    :class:`DegenerateParameterError` when a row that cannot be normalized
+    comes first, as in a serial search.  The other searches advance in
+    place.
+    """
+    pending = list(searches.values())
+    cut = [min(s.size, alphas.size - s.k) for s in pending]
+    budget = _BLOCK_ELEMENTS // regs.n
+    if sum(cut) > budget:
+        for k, j in enumerate(sorted(range(len(cut)), key=cut.__getitem__)):
+            cut[j] = min(cut[j], max(1, budget // (len(cut) - k)))
+            budget -= cut[j]
+    bounds = np.cumsum([0] + cut)
+    owner = np.repeat(np.arange(len(pending)), cut)
+    trial = np.arange(bounds[-1]) - np.repeat(bounds[:-1] - [s.k for s in pending], cut)
+    # np.array stacks a list of equal-shape arrays as np.stack does, at a
+    # fraction of the call cost, which every round pays.
+    flats = np.array([s.flat for s in pending])
+    deltas = np.array([s.delta for s in pending])
+    F = flats[owner] + alphas[trial, None] * deltas[owner]
+    ok, E, Ls = _evaluate(layout, engine, regs, F, np.array([s.data for s in pending])[owner])
+    stop = ~ok | (Ls < np.array([s.L for s in pending])[owner])
+    first = np.minimum.reduceat(np.where(stop, np.arange(stop.size), stop.size), bounds[:-1])
+    out = {}
+    ends = zip(searches.items(), bounds.tolist(), bounds[1:].tolist(), first.tolist(), cut)
+    for (i, s), a, b, r, n_cut in ends:
+        if r < b:
+            if ok[r]:
+                out[i] = F[r], E[r].copy(), float(Ls[r]), s.k + r - a + 1
+            else:
+                out[i] = DegenerateParameterError("cannot normalize a zero index vector")
+            continue
+        s.k += n_cut
+        s.size *= 2
+        if s.k == alphas.size:
+            out[i] = None
+    return out
 
 
 def _solve_each(H, g, names):
     """``np.linalg.solve`` on a stack of systems; a singular one gets its error."""
     try:
-        steps = list(np.linalg.solve(H, g[..., None])[..., 0])
+        X = np.linalg.solve(H, g[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        steps = [np.full(g.shape[1], np.nan)] * len(g)
-    for k, step in enumerate(steps):
-        if not np.all(np.isfinite(step)):
-            # Alone, to tell the singular systems from the others.
-            try:
-                steps[k] = _solve_spd(H[k], g[k], context="newton step", names=names)
-            except RankDeficiencyError as err:
-                steps[k] = err
+        X = np.full(g.shape, np.nan)
+    steps = list(X)
+    for k in np.flatnonzero(~np.isfinite(X).all(axis=1)):
+        # Alone, to tell the singular systems from the others.
+        try:
+            steps[k] = _solve_spd(H[k], g[k], context="newton step", names=names)
+        except RankDeficiencyError as err:
+            steps[k] = err
     return steps
 
 
-def _newton_steps(layout, opts, requests, names, work):
-    """Newton steps for ``(data, flat, score, weights, exact_score)`` requests.
+def _newton_steps(layout, opts, engine, regs, requests, names, work):
+    """Newton steps for ``(data, flat, e, m, exact, fall_back)`` requests.
 
-    One (S, n, P) Jacobian, stacked products and one batched solve; each
-    stacked product rounds as its one-start form.  The Jacobian and its
-    weighted copy are written into the two (>= S, n, P) arrays of
-    ``work``.  Per request: ``(H, step, J' exact_score)``, the last None
-    without an exact score, or the solver's error.
+    The scores, weights and subgradients of all requests come from one
+    (S, n) residual block, the Jacobians from one (S, n, P) block, then
+    stacked products and one batched solve; each stacked product rounds as
+    its one-start form.  The Jacobian and its weighted copy are written into
+    the two (>= S, n, P) arrays of ``work``.  Per request: ``(H, step,
+    max|step|, J' subgradient)``, the last None without ``fall_back``, or
+    the solver's error.
     """
-    datas, flats, scores, weights, exact_scores = zip(*requests)
-    _, X, Z = _regressors(datas, [1] * len(datas))
-    J = packed_jacobian(layout, np.stack(flats), X, Z, out=work[0][: len(requests)])
-    g = np.matmul(J.transpose(0, 2, 1), np.stack(scores)[..., None])[..., 0]
-    JW = np.multiply(J, np.stack(weights)[..., None], out=work[1][: len(requests)])
+    rows, flats, es, ms, exact, fall_back = zip(*requests)
+    scores, weights, G = engine.derivatives(
+        np.array(es), np.array(ms)[:, None], np.array(exact), np.array(fall_back)
+    )
+    _, X, Z = regs.take(np.array(rows))
+    J = packed_jacobian(layout, np.array(flats), X, Z, out=work[0][: len(requests)])
+    g = np.matmul(J.transpose(0, 2, 1), scores[..., None])[..., 0]
+    JW = np.multiply(J, weights[..., None], out=work[1][: len(requests)])
     H = np.matmul(JW.transpose(0, 2, 1), J)
     # Ridge relative to the problem scale: an absolute 1e-10 is lost in
     # rounding against design blocks of size ~1e6 and leaves the LU
     # factorization exactly singular on low-rank weight states.
     # Referencing H and g (both proportional to the loss) keeps the step
-    # exactly invariant under loss rescaling.  Python's max keeps its NaN rule.
-    diag = np.mean(np.abs(np.diagonal(H, axis1=1, axis2=2)), axis=1)
-    scale = [max(a, b, 1e-30) for a, b in zip(diag.tolist(), np.max(np.abs(g), axis=1).tolist())]
-    H += (opts.ridge * np.array(scale))[:, None, None] * np.eye(layout.size)
+    # exactly invariant under loss rescaling.  The scale is Python's
+    # max(diag, max|g|, 1e-30) per row, NaN rule included: a later value
+    # wins only where it compares greater.
+    scale = np.mean(np.abs(np.diagonal(H, axis1=1, axis2=2)), axis=1)
+    gmax = np.max(np.abs(g), axis=1)
+    scale = np.where(gmax > scale, gmax, scale)
+    scale = np.where(1e-30 > scale, 1e-30, scale)
+    H += (opts.ridge * scale)[:, None, None] * np.eye(layout.size)
     steps = _solve_each(H, g, names)
+    D = np.array([np.zeros(layout.size) if isinstance(s, Exception) else s for s in steps])
+    sups = np.max(np.abs(D), axis=1).tolist()
     return [
-        s if isinstance(s, Exception) else (H[k], s, None if x is None else J[k].T @ x)
-        for k, (s, x) in enumerate(zip(steps, exact_scores))
+        s if isinstance(s, Exception) else (H[k], s, sups[k], J[k].T @ G[k] if fall_back[k] else None)
+        for k, s in enumerate(steps)
     ]
 
 
@@ -558,12 +615,15 @@ def _lockstep(layout, opts, engine, jobs):
     """Run :func:`_minimize_one` for every ``(data, start, m_target)`` job.
 
     The jobs share one n and run in groups of at most ``_BLOCK_ELEMENTS //
-    n``, the jobs of a group in lockstep.  A round serves the group's
-    requests kind by kind, steps, then solves, then evaluations, each kind
-    in one batched call that carries each request's dataset, and sends each
-    job its reply at once, so a request that follows in the same round's
-    order (the first trial after a step) is served in the same round.
-    Every job follows its serial path bitwise.  Per job, in order: its
+    n``, the jobs of a group in lockstep over the group's
+    :class:`_Regressors`.  The group's starts are normalized and evaluated
+    in one call; a start that cannot be normalized fails its job.  A round
+    then serves the group's requests kind by kind, each kind in one batched
+    call: Newton steps, then solves, then one block of every pending line
+    search.  A job gets its reply at once, so a request that follows in the
+    same round's order (the search after a step) is served in the same
+    round, and a search resumes its job only when it ends.  Every job
+    follows its serial path bitwise.  Per job, in order: its
     :class:`_StartOutcome`, or the exception it raised.
     """
     names = {col: name for name, col in layout.scalars}
@@ -573,42 +633,61 @@ def _lockstep(layout, opts, engine, jobs):
     # are the largest arrays of a fit, and a fresh pair per step makes the
     # heap grow and shrink every step, page faults and all.
     work = np.empty((2, min(group, len(jobs)), n, layout.size))
-    # One batched server per request kind, in the order a round serves them.
-    servers = {
-        "step": lambda reqs: _newton_steps(layout, opts, reqs, names, work),
-        "solve": lambda reqs: _solve_each(
-            np.stack([H for _, H, _ in reqs]), np.stack([g for _, _, g in reqs]), names
-        ),
-        "eval": lambda reqs: _evaluate(layout, engine, reqs),
-    }
+    alphas = _alphas(opts.damping)
     outcomes = [None] * len(jobs)
     for lo in range(0, len(jobs), group):
-        gens = {
-            i: _minimize_one(layout, jobs[i][0], opts, engine, jobs[i][1], jobs[i][2])
-            for i in range(lo, min(lo + group, len(jobs)))
-        }
-        requests = {}
+        members = range(lo, min(lo + group, len(jobs)))
+        datas = list({id(jobs[i][0]): jobs[i][0] for i in members}.values())
+        number = {id(data): k for k, data in enumerate(datas)}
+        src = {i: number[id(jobs[i][0])] for i in members}
+        regs = _Regressors(datas)
+        F = np.stack([jobs[i][1] for i in members])
+        ok, E, Ls = _evaluate(layout, engine, regs, F, np.array([src[i] for i in members]))
+        gens = {}
+        for r, i in enumerate(members):
+            if ok[r]:
+                gens[i] = _minimize_one(opts, engine.smooth, F[r], E[r].copy(), float(Ls[r]), jobs[i][2])
+            else:
+                outcomes[i] = DegenerateParameterError("cannot normalize a zero index vector")
+        requests, searches = {}, {}
 
-        def send(ids, answers):
-            for i, answer in zip(ids, answers):
+        def send(answers):
+            for i, answer in answers.items():
+                requests.pop(i, None)
+                searches.pop(i, None)
                 try:
                     if isinstance(answer, Exception):
-                        requests[i] = gens[i].throw(answer)
+                        request = gens[i].throw(answer)
                     else:
-                        requests[i] = gens[i].send(answer)
+                        request = gens[i].send(answer)
                 except StopIteration as done:
                     outcomes[i] = done.value
-                    requests.pop(i, None)
+                    continue
                 except Exception as err:
                     outcomes[i] = err
-                    requests.pop(i, None)
+                    continue
+                if request[0] == "search":
+                    searches[i] = _Search(src[i], *request[1:])
+                else:
+                    requests[i] = request
 
-        send(list(gens), [None] * len(gens))
-        while requests:
+        # One batched server per request kind, in the order a round serves them.
+        servers = {
+            "step": lambda ids: _newton_steps(
+                layout, opts, engine, regs, [(src[i], *requests[i][1:]) for i in ids], names, work
+            ),
+            "solve": lambda ids: _solve_each(
+                np.array([requests[i][1] for i in ids]), np.array([requests[i][2] for i in ids]), names
+            ),
+        }
+        send(dict.fromkeys(gens))
+        while requests or searches:
             for kind, serve in servers.items():
                 ids = [i for i, req in requests.items() if req[0] == kind]
                 if ids:
-                    send(ids, serve([(jobs[i][0], *requests[i][1:]) for i in ids]))
+                    send(dict(zip(ids, serve(ids))))
+            if searches:
+                send(_search(layout, engine, regs, searches, alphas))
     return outcomes
 
 

@@ -9,7 +9,10 @@ closed form in ``erf``/``Phi`` terms; an independent quadrature oracle is
 provided so the closed forms can be cross-checked numerically.
 
 All evaluation functions are vectorized over ``u`` and are pure functions of
-their arguments, so they are safe to call from any number of threads.
+their arguments, so they are safe to call from any number of threads.  The
+smoothed loss and its derivatives also take an array of orders ``m`` that
+broadcasts against ``u``, such as a (rows, 1) column for a (rows, n) block;
+each element then rounds as in a call with its own scalar order.
 """
 
 from __future__ import annotations
@@ -117,11 +120,12 @@ class MollifierOrder:
         return MollifierOrder(float(math.floor(n ** (2.0 + epsilon))))
 
 
-def _as_m(m) -> float:
+def _as_m(m):
+    """The order as a float, or an array of orders as a float array."""
     if isinstance(m, MollifierOrder):
         return m.m
-    m = float(m)
-    if not m >= 1.0:
+    m = np.asarray(m, dtype=float) if np.ndim(m) else float(m)
+    if not np.all(m >= 1.0):
         raise ConfigurationError(f"mollifier order must be >= 1, got {m}")
     return m
 
@@ -202,7 +206,7 @@ def mollified_eval(spec: LossSpec, m, u):
     else:
         c = spec.param
         s2 = 0.5 / m
-        s = math.sqrt(s2)
+        s = np.sqrt(s2)
         a = (c - u) / s
         b = (c + u) / s
         # E[((Z - t)_+)^2] for standard normal Z.
@@ -223,7 +227,7 @@ def mollified_grad(spec: LossSpec, m, u):
         out = (spec.param - 0.5) + 0.5 * erf(np.sqrt(m) * u)
     else:
         c = spec.param
-        s = math.sqrt(0.5 / m)
+        s = np.sqrt(0.5 / m)
         a = (c - u) / s
         b = (c + u) / s
         # E[clip(u + s Z, -c, c)] via the two one-sided censored means.
@@ -242,7 +246,7 @@ def mollified_hess(spec: LossSpec, m, u):
         out = np.sqrt(m / math.pi) * _gexp(-m * u * u)
     else:
         c = spec.param
-        s = math.sqrt(0.5 / m)
+        s = np.sqrt(0.5 / m)
         out = ndtr((c - u) / s) + ndtr((c + u) / s) - 1.0
     return out if out.ndim else float(out)
 

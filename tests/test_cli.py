@@ -197,6 +197,23 @@ def test_fit_cli_nonconvergence_exit_code(tmp_path):
     assert doc["converged"] is False
 
 
+@pytest.mark.parametrize("name, value", [
+    ("tol", float("nan")), ("ridge", -1.0), ("ridge", float("nan")), ("m_epsilon", float("nan")),
+])
+def test_fit_cli_rejects_an_option_that_breaks_the_fit(tmp_path, capsys, name, value):
+    # JSON as Python writes and reads it allows NaN.
+    data = tmp_path / "d.csv"
+    assert run(["simulate", "--example", "ex51", "--n", "200", "--seed", "3",
+                "--out", str(data)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fit": {name: value}}))
+    capsys.readouterr()
+    code = run(["fit", "--data", str(data), "--example-model", "ex51",
+                "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+
+
 def test_fit_cli_dimension_mismatch(tmp_path):
     data = tmp_path / "d.csv"
     assert run(["simulate", "--example", "ex52", "--n", "100", "--law", "normal",

@@ -28,11 +28,15 @@ from mollifit.exceptions import (
 from mollifit.losses import (
     LAD,
     SQUARED_ERROR,
+    LossKind,
     MollifierOrder,
     eval_loss,
     huber_loss,
     kde_mollifier_order,
+    mollified_grad,
+    mollified_hess,
     quantile_loss,
+    subgrad,
 )
 from mollifit.model import (
     Dataset,
@@ -164,6 +168,24 @@ def test_fit_loss_scale_invariance():
     a = fit(spec, data, FitOptions(loss=HUB))
     b = fit(spec, data, FitOptions(loss=HUB, loss_scale=7.3))
     assert np.max(np.abs(layout.pack(a.params) - layout.pack(b.params))) <= 1e-8
+
+
+_BAD_OPTIONS = [
+    ("tol", math.nan), ("tol", math.inf), ("tol", 0.0),
+    ("m_epsilon", math.nan), ("m_epsilon", math.inf),
+    ("loss_scale", math.nan), ("loss_scale", -math.inf),
+    ("ridge", math.nan), ("ridge", math.inf), ("ridge", -1.0),
+]
+
+
+@pytest.mark.parametrize("name, value", _BAD_OPTIONS)
+def test_fit_options_reject_values_that_break_a_fit(name, value):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
+        FitOptions(loss=LAD, **{name: value})
+
+
+def test_fit_options_accept_a_zero_ridge():
+    assert FitOptions(loss=LAD, ridge=0.0).ridge == 0.0
 
 
 def test_fit_needs_enough_rows():
@@ -428,7 +450,9 @@ def test_fit_many_equals_fit_on_each_dataset(monkeypatch, example, loss):
         expect = [_outcome_bytes(layout, _fit_alone(spec, d, opts)) for d in datasets]
         assert [type(e) for e in expect] == [dict, tuple, dict, tuple, dict]
         assert expect[1][0] is ShapeError and expect[3][0] is ShapeError
-        for budget in (estimate._BLOCK_ELEMENTS, 700):
+        # The largest n as the budget runs one start and one trial row per
+        # call, as a fit at n = 50,000 does.
+        for budget in (estimate._BLOCK_ELEMENTS, 700, max(d.n for d in datasets)):
             with monkeypatch.context() as patch:
                 patch.setattr(estimate, "_BLOCK_ELEMENTS", budget)
                 got = fit_many(spec, datasets, opts)
@@ -449,17 +473,15 @@ def _serial_search(layout, data, loss, flat, delta, L, damping):
 
 
 def _block_search(layout, data, loss, flat, delta, L, damping, size):
+    """The search server's answer for one search, and the trials of its refused blocks."""
     engine = estimate._LossEngine(loss)
-    search = estimate._line_search(flat, delta, L, estimate._alphas(damping), size)
-    rows = 0
-    try:
-        request = next(search)
-        while True:
-            (reply,) = estimate._evaluate(layout, engine, [(data, request[1])])
-            rows += len(reply[0])
-            request = search.send(reply)
-    except StopIteration as done:
-        return done.value, rows
+    regs = estimate._Regressors([data])
+    search = estimate._Search(0, flat, delta, L, size)
+    alphas = estimate._alphas(damping)
+    while True:
+        answers = estimate._search(layout, engine, regs, {0: search}, alphas)
+        if answers:
+            return answers[0], search.k
 
 
 @pytest.mark.parametrize("budget", [2**14, 2**9])
@@ -495,6 +517,30 @@ def test_block_line_search_matches_a_serial_search(monkeypatch, budget):
             assert trial_objectives[got[3] - 1] == L_c
 
 
+@pytest.mark.parametrize("loss", [LAD, Q3, HUB, SQUARED_ERROR], ids=["lad", "quantile", "huber", "se"])
+def test_batched_derivatives_equal_per_row_calls(loss):
+    # One order per row, from a flat kernel to the n = 1000 target; the
+    # residuals include the kinks at 0 and +-1.25.
+    rng = np.random.default_rng(5)
+    ms = [1.0, 37.5, 2.5e3, 1.7e5, float(math.floor(1000**2.1))]
+    E = rng.standard_normal((len(ms), 400)) * np.array([3.0, 1.0, 0.1, 1e-2, 1e-3])[:, None]
+    E[:, :3] = [0.0, 1.25, -1.25]
+    exact = np.array([False, True, False, False, True])
+    fall_back = np.array([False, False, True, False, True])
+    engine = estimate._LossEngine(loss)
+    scores, weights, G = engine.derivatives(E, np.array(ms)[:, None], exact, fall_back)
+    for k, (m, e) in enumerate(zip(ms, E)):
+        sub = subgrad(loss, e)
+        if loss.kind is LossKind.SQUARED_ERROR:
+            want_score, want_weight = sub, np.full(e.shape, 2.0)
+        else:
+            want_score = sub if exact[k] else mollified_grad(loss, m, e)
+            want_weight = mollified_hess(loss, m, e)
+        assert scores[k].tobytes() == want_score.tobytes(), k
+        assert weights[k].tobytes() == want_weight.tobytes(), k
+        assert G[k].tobytes() == sub.tobytes(), k
+
+
 def test_solve_each_isolates_a_singular_system():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((3, 4, 4))
@@ -507,13 +553,51 @@ def test_solve_each_isolates_a_singular_system():
         np.testing.assert_array_equal(steps[k], np.linalg.solve(H[k], g[k]))
 
 
+def test_search_server_ends_each_search_in_its_own_round():
+    # Two searches share every evaluation.  One meets a row it cannot
+    # normalize at alpha = 1/8 (trial 4, in the third block) and gets the
+    # error; the other runs on to accept trial 31 in the fifth block, as it
+    # does alone.
+    data, spec, truth = gen_example("ex51", 200, ErrorLaw.T2, rng_for(32, 0))
+    layout = ParamLayout(spec)
+    engine = estimate._LossEngine(LAD)
+    regs = estimate._Regressors([data])
+    alphas = estimate._alphas(0.5)
+    flat = layout.pack(truth)
+    theta = layout.terms[0].theta
+    zeroing = np.zeros(layout.size)
+    zeroing[theta] = -8.0 * flat[theta]
+    delta = np.random.default_rng(3).standard_normal(layout.size)
+    F = flat + alphas[:, None] * delta
+    packed_normalize(layout, F)
+    L = float(np.median(eval_loss(LAD, data.y - packed_mean(layout, F, data.X, data.Z)).sum(axis=1)))
+    alone, _ = _block_search(layout, data, LAD, flat, delta, L, 0.5, 1)
+    searches = {
+        "zeroing": estimate._Search(0, flat, zeroing, -np.inf, 1),
+        "descent": estimate._Search(0, flat, delta, L, 1),
+    }
+    ended = {}
+    round_ = 0
+    while searches:
+        round_ += 1
+        for job, answer in estimate._search(layout, engine, regs, searches, alphas).items():
+            del searches[job]
+            ended[job] = round_, answer
+    assert ended["zeroing"][0] == 3
+    assert isinstance(ended["zeroing"][1], DegenerateParameterError)
+    round_, got = ended["descent"]
+    assert round_ == 5 and got[3] == alone[3] == 31
+    for a, b in zip(got, alone):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_lockstep_raises_the_error_of_the_first_failing_start(monkeypatch):
     # Job 2 fails in the first round and job 1 in the third; the others run
     # on to their outcomes, and a fit reports its first failing start.
-    def fake(layout, data, opts, engine, start, m_target):
-        k = int(start[0])
+    def fake(opts, smooth, flat, e, L, m_target):
+        k = int(m_target)
         for r in range(3):
-            yield "eval", start[None]
+            yield "solve", np.eye(2), np.ones(2)
             if (k, r) == (2, 0):
                 raise RankDeficiencyError("start 2")
             if (k, r) == (1, 2):
@@ -525,7 +609,7 @@ def test_lockstep_raises_the_error_of_the_first_failing_start(monkeypatch):
     layout = ParamLayout(spec)
     engine = estimate._LossEngine(LAD)
     opts = FitOptions(loss=LAD)
-    jobs = [(data, np.full(layout.size, float(k)), 1e4) for k in range(4)]
+    jobs = [(data, np.ones(layout.size), float(k)) for k in range(4)]
     out = estimate._lockstep(layout, opts, engine, jobs)
     assert [out[0], out[3]] == [0, 3]
     assert isinstance(out[1], DegenerateParameterError) and str(out[1]) == "start 1"

@@ -1,4 +1,4 @@
-"""Dump and compare the 144-fit grid, to check that a change keeps fits bitwise.
+"""Dump and compare fits and CLI outputs, to check that a change keeps them bitwise.
 
 The grid is ex51 and ex52; n 100, 200 and 1000; seeds 1, 7 and 2718; LAD,
 Huber(1.25), quantile(0.3) and squared-error loss; the default global
@@ -7,7 +7,9 @@ is ``gen_example(example, n, ErrorLaw.T2, rng_for(seed, 0))``, with the
 errors recentred at tau for the quantile loss.
 
     PYTHONPATH=src python tools/fitgrid.py dump [--batched] OUT.npz
+    PYTHONPATH=src python tools/fitgrid.py cli OUT_DIR
     python tools/fitgrid.py compare A.npz B.npz
+    python tools/fitgrid.py compare A_DIR B_DIR
 
 ``dump`` fits the grid with the ``mollifit`` on the import path and writes
 every ``FitResult`` field of every fit (``params`` packed, the descent trace
@@ -19,6 +21,14 @@ exits 1 if there is any.  It then sums up the differences against the gates
 of a change that is not bitwise: the largest parameter move, the fits whose
 winning start or convergence flag flipped, and the largest relative rise of
 the final objective L_n (the last entry of the descent trace).
+
+``cli`` runs ``mollifit mc`` and the 3-level ``mollifit forecast`` with the
+arguments of the benchmark's ``cli-batch`` workload (``bench/workloads.py``)
+for seeds 1 and 2718 at ``--threads`` 1 and 2, the forecast on the first
+two of the workload's panels of each seed, and writes the panels, the
+``mc`` CSV, the forecast report and error dump and every sidecar into
+OUT_DIR.  ``compare`` of two such directories lists each file that is in
+one only or whose bytes differ, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -87,7 +98,47 @@ def dump(path: str, batched: bool = False) -> int:
     return 0
 
 
+def cli(out_dir: str) -> int:
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+    from mollifit.cli import main as mollifit
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    failed = []
+    for seed in (1, 2718):
+        panels = [out / f"panel-s{seed}-{k}.csv" for k in range(2)]
+        for k, panel in enumerate(panels):
+            workloads.write_panel(panel, seed, k)
+        for threads in (1, 2):
+            argvs = [workloads.mc_argv(seed, threads, out / f"mc-s{seed}-t{threads}.csv")]
+            argvs += [
+                workloads.forecast_argv(panel, threads, out / f"forecast-s{seed}-{k}-t{threads}.csv")
+                for k, panel in enumerate(panels)
+            ]
+            failed += [" ".join(argv) for argv in argvs if mollifit(argv) != 0]
+    print(f"{len(list(out.iterdir()))} files -> {out}")
+    for argv in failed:
+        print(f"failed: {argv}")
+    return 1 if failed else 0
+
+
+def compare_dirs(dir_a: Path, dir_b: Path) -> int:
+    files_a = {p.name for p in dir_a.iterdir()}
+    files_b = {p.name for p in dir_b.iterdir()}
+    diffs = []
+    for name in sorted(files_a | files_b):
+        if name not in files_a or name not in files_b:
+            diffs.append(f"{name}: only in {dir_a if name in files_a else dir_b}")
+        elif (dir_a / name).read_bytes() != (dir_b / name).read_bytes():
+            diffs.append(f"{name}: differs")
+    print("\n".join(diffs) if diffs else f"{len(files_a)} files, all byte-identical")
+    return 1 if diffs else 0
+
+
 def compare(path_a: str, path_b: str) -> int:
+    if Path(path_a).is_dir() and Path(path_b).is_dir():
+        return compare_dirs(Path(path_a), Path(path_b))
     a, b = np.load(path_a), np.load(path_b)
     diffs = []
     for name in sorted(set(a.files) | set(b.files)):
@@ -139,12 +190,16 @@ def main(argv=None) -> int:
     dump_parser = sub.add_parser("dump")
     dump_parser.add_argument("--batched", action="store_true")
     dump_parser.add_argument("out")
+    cli_parser = sub.add_parser("cli")
+    cli_parser.add_argument("out_dir")
     cmp_parser = sub.add_parser("compare")
     cmp_parser.add_argument("a")
     cmp_parser.add_argument("b")
     args = parser.parse_args(argv)
     if args.command == "dump":
         return dump(args.out, args.batched)
+    if args.command == "cli":
+        return cli(args.out_dir)
     return compare(args.a, args.b)
 
 
