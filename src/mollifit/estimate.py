@@ -38,11 +38,16 @@ and a call that mixes datasets gathers its rows by index.  Every batched
 operation rounds as its one-start form, so each start follows its serial
 path bit for bit, and ``fit_many`` returns for each dataset what ``fit``
 returns alone.
+
+A Jacobian depends only on its dataset and iterate, so a round of steps at
+the datasets and iterates of the group's last Jacobian block (the first
+step of a rung that follows a rung ending without a move) reuses the block.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,10 +118,13 @@ class FitOptions:
                 raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
         if not (math.isfinite(self.ridge) and self.ridge >= 0):
             raise ConfigurationError(f"ridge must be finite and >= 0, got {self.ridge!r}")
-        if self.max_iter < 1:
-            raise ConfigurationError("max_iter must be >= 1")
-        if self.multistart is not None and self.multistart < 1:
-            raise ConfigurationError("multistart must be >= 1")
+        counts = {"max_iter": self.max_iter}
+        if self.multistart is not None:
+            counts["multistart"] = self.multistart
+        for name, value in counts.items():
+            # NumPy integers are Integral too; 2.5 and inf are not.
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0 < self.damping < 1:
             raise ConfigurationError("damping must lie in (0,1)")
 
@@ -570,23 +578,35 @@ def _solve_each(H, g, names):
     return steps
 
 
-def _newton_steps(layout, opts, engine, regs, requests, names, work):
+def _newton_steps(layout, opts, engine, regs, requests, names, work, held):
     """Newton steps for ``(data, flat, e, m, exact, fall_back)`` requests.
 
     The scores, weights and subgradients of all requests come from one
     (S, n) residual block, the Jacobians from one (S, n, P) block, then
     stacked products and one batched solve; each stacked product rounds as
     its one-start form.  The Jacobian and its weighted copy are written into
-    the two (>= S, n, P) arrays of ``work``.  Per request: ``(H, step,
-    max|step|, J' subgradient)``, the last None without ``fall_back``, or
-    the solver's error.
+    the two (>= S, n, P) arrays of ``work``.  ``held[0]`` keys the Jacobian
+    block in ``work[0]`` by its rows' datasets and iterates; a round that
+    asks for exactly those rows, in that order, uses the block as it is.
+    Per request: ``(H, step, max|step|, J' subgradient)``, the last None
+    without ``fall_back``, or the solver's error.
     """
     rows, flats, es, ms, exact, fall_back = zip(*requests)
     scores, weights, G = engine.derivatives(
         np.array(es), np.array(ms)[:, None], np.array(exact), np.array(fall_back)
     )
-    _, X, Z = regs.take(np.array(rows))
-    J = packed_jacobian(layout, np.array(flats), X, Z, out=work[0][: len(requests)])
+    F = np.array(flats)
+    # J depends only on the datasets and the iterates: a step at a new
+    # smoothing order, or from an iterate that did not move, finds its
+    # block in place.  Iterates compare by their bytes, so a reused block
+    # is the one packed_jacobian would write.
+    key = rows, F.tobytes()
+    if key == held[0]:
+        J = work[0][: len(requests)]
+    else:
+        _, X, Z = regs.take(np.array(rows))
+        J = packed_jacobian(layout, F, X, Z, out=work[0][: len(requests)])
+        held[0] = key
     g = np.matmul(J.transpose(0, 2, 1), scores[..., None])[..., 0]
     JW = np.multiply(J, weights[..., None], out=work[1][: len(requests)])
     H = np.matmul(JW.transpose(0, 2, 1), J)
@@ -650,6 +670,9 @@ def _lockstep(layout, opts, engine, jobs):
             else:
                 outcomes[i] = DegenerateParameterError("cannot normalize a zero index vector")
         requests, searches = {}, {}
+        # The key of the Jacobian block in work[0]; the dataset numbers of
+        # a key are this group's, so each group starts without one.
+        held = [None]
 
         def send(answers):
             for i, answer in answers.items():
@@ -674,7 +697,7 @@ def _lockstep(layout, opts, engine, jobs):
         # One batched server per request kind, in the order a round serves them.
         servers = {
             "step": lambda ids: _newton_steps(
-                layout, opts, engine, regs, [(src[i], *requests[i][1:]) for i in ids], names, work
+                layout, opts, engine, regs, [(src[i], *requests[i][1:]) for i in ids], names, work, held
             ),
             "solve": lambda ids: _solve_each(
                 np.array([requests[i][1] for i in ids]), np.array([requests[i][2] for i in ids]), names

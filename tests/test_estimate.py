@@ -175,17 +175,25 @@ _BAD_OPTIONS = [
     ("m_epsilon", math.nan), ("m_epsilon", math.inf),
     ("loss_scale", math.nan), ("loss_scale", -math.inf),
     ("ridge", math.nan), ("ridge", math.inf), ("ridge", -1.0),
+    # A count that is not an integer would fail every fit with a TypeError.
+    ("max_iter", 2.5), ("max_iter", math.inf), ("multistart", 2.5), ("multistart", math.inf),
 ]
 
 
 @pytest.mark.parametrize("name, value", _BAD_OPTIONS)
 def test_fit_options_reject_values_that_break_a_fit(name, value):
-    with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be (finite|an integer)"):
         FitOptions(loss=LAD, **{name: value})
 
 
 def test_fit_options_accept_a_zero_ridge():
     assert FitOptions(loss=LAD, ridge=0.0).ridge == 0.0
+
+
+def test_fit_options_accept_numpy_integer_counts():
+    data, spec, _ = gen_example("ex52", 100, ErrorLaw.NORMAL, rng_for(8, 0))
+    opts = FitOptions(loss=LAD, max_iter=np.int64(3), multistart=np.int32(2))
+    assert fit(spec, data, opts).iterations <= 3
 
 
 def test_fit_needs_enough_rows():
@@ -457,6 +465,42 @@ def test_fit_many_equals_fit_on_each_dataset(monkeypatch, example, loss):
                 patch.setattr(estimate, "_BLOCK_ELEMENTS", budget)
                 got = fit_many(spec, datasets, opts)
             assert [_outcome_bytes(layout, r) for r in got] == expect, budget
+
+
+def test_a_step_at_the_iterates_of_the_last_jacobian_reuses_it(monkeypatch):
+    # One job per group, as at n = 50,000: on this dataset a rung ends
+    # without a move, and the next rung's first step is at the same iterate.
+    data, spec, truth = gen_example("ex51", 100, ErrorLaw.T2, rng_for(1, 0))
+    opts = FitOptions(loss=LAD, init_params=truth, multistart=1)
+    counts = {"blocks": 0, "rounds": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(estimate, "_BLOCK_ELEMENTS", data.n)
+    monkeypatch.setattr(estimate, "packed_jacobian", counted("blocks", estimate.packed_jacobian))
+    monkeypatch.setattr(estimate, "_newton_steps", counted("rounds", estimate._newton_steps))
+    fit(spec, data, opts)
+    assert 0 < counts["blocks"] < counts["rounds"]
+
+
+def test_each_lockstep_group_builds_its_own_first_jacobian(monkeypatch):
+    # Both fits start at the truth as the only job of their group, so the
+    # noisy fit's first step asks for the dataset number and iterate of the
+    # zero-noise fit's only Jacobian block, which is built on other
+    # regressors and must not be served to it.
+    data, spec, truth = gen_example("ex51", 100, ErrorLaw.T2, rng_for(2, 0))
+    noisy, _, _ = gen_example("ex51", 100, ErrorLaw.T2, rng_for(3, 0))
+    exact = Dataset(regression_mean(spec, truth, data.X, data.Z), data.X, data.Z)
+    opts = FitOptions(loss=LAD, init_params=truth, multistart=1, track_descent=True)
+    layout = ParamLayout(spec)
+    monkeypatch.setattr(estimate, "_BLOCK_ELEMENTS", data.n)
+    first, second = fit_many(spec, [exact, noisy], opts)
+    assert first.iterations == 0 and first.converged
+    assert _outcome_bytes(layout, second) == _outcome_bytes(layout, fit(spec, noisy, opts))
 
 
 def _serial_search(layout, data, loss, flat, delta, L, damping):

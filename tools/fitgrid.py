@@ -6,16 +6,21 @@ search and a single start anchored at the simulation truth.  Each dataset
 is ``gen_example(example, n, ErrorLaw.T2, rng_for(seed, 0))``, with the
 errors recentred at tau for the quantile loss.
 
-    PYTHONPATH=src python tools/fitgrid.py dump [--batched] OUT.npz
+    PYTHONPATH=src python tools/fitgrid.py dump [--batched | --bench] OUT.npz
     PYTHONPATH=src python tools/fitgrid.py cli OUT_DIR
     python tools/fitgrid.py compare A.npz B.npz
     python tools/fitgrid.py compare A_DIR B_DIR
 
 ``dump`` fits the grid with the ``mollifit`` on the import path and writes
 every ``FitResult`` field of every fit (``params`` packed, the descent trace
-recorded).  With ``--batched`` it fits through ``fit_many``, one call per
-(example, loss, protocol) over all n and seeds, so the datasets of a call
-have mixed n; its dump must equal the serial one.  ``compare`` lists each
+recorded), or, for a fit that raises, its error type and message.  With
+``--batched`` it fits through ``fit_many``, one call per (example, loss,
+protocol) over all n and seeds, so the datasets of a call have mixed n; its
+dump must equal the serial one.  With ``--bench`` it fits the first passes
+of the benchmark's ``fit-small`` and ``fit-large`` workloads for seeds 1
+and 2718 instead, as the benchmark fits them (``bench/workloads.py``,
+normal and t2 errors, n up to 50 000).  ``compare`` prints, for each dump,
+the fits that raised and the fits with ``converged=False``; it lists each
 fit and field whose dtype, shape or bytes differ between two dumps, and
 exits 1 if there is any.  It then sums up the differences against the gates
 of a change that is not bitwise: the largest parameter move, the fits whose
@@ -27,13 +32,16 @@ arguments of the benchmark's ``cli-batch`` workload (``bench/workloads.py``)
 for seeds 1 and 2718 at ``--threads`` 1 and 2, the forecast on the first
 two of the workload's panels of each seed, and writes the panels, the
 ``mc`` CSV, the forecast report and error dump and every sidecar into
-OUT_DIR.  ``compare`` of two such directories lists each file that is in
-one only or whose bytes differ, and exits 1 if there is any.
+OUT_DIR.  ``compare`` of two such directories prints, for each, the failed
+replications of its ``mc`` tables and the fallback windows of its forecast
+reports, counted as the benchmark counts them; it lists each file that is
+in one only or whose bytes differ, and exits 1 if there is any.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -44,6 +52,16 @@ EXAMPLES = ("ex51", "ex52")
 NS = (100, 200, 1000)
 SEEDS = (1, 7, 2718)
 PROTOCOLS = ("global", "truth")
+BENCH_WORKLOADS = ("fit-small", "fit-large")
+BENCH_SEEDS = (1, 2718)
+
+
+def bench_workloads():
+    """The benchmark's ``workloads`` module, imported from ``bench/``."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    return workloads
 
 
 def grid():
@@ -68,12 +86,29 @@ def grid():
                         yield key, model, data, opts
 
 
-def dump(path: str, batched: bool = False) -> int:
+def fit_or_error(fit, *args):
+    from mollifit.exceptions import MollifitError
+
+    try:
+        return fit(*args)
+    except MollifitError as err:
+        return err
+
+
+def dump(path: str, batched: bool = False, bench: bool = False) -> int:
     from mollifit.estimate import fit, fit_many
     from mollifit.model import ParamLayout
 
     results = {}
-    if batched:
+    if bench:
+        workloads = bench_workloads()
+        for name in BENCH_WORKLOADS:
+            spec = workloads.FIT_WORKLOADS[name]
+            for seed in BENCH_SEEDS:
+                for item in workloads.first_pass(spec, seed):
+                    res = fit_or_error(workloads.fit_one, spec, item)
+                    results[f"{name}-s{seed}-{item.key}"] = item.model, res
+    elif batched:
         calls = {}
         for key, model, data, opts in grid():
             example, *_, loss, protocol = key.split("-")
@@ -83,11 +118,12 @@ def dump(path: str, batched: bool = False) -> int:
             results.update(zip(keys, ((model, r) for r in fit_many(model, datasets, opts))))
     else:
         for key, model, data, opts in grid():
-            results[key] = model, fit(model, data, opts)
+            results[key] = model, fit_or_error(fit, model, data, opts)
     arrays = {}
     for key, (model, res) in results.items():
         if isinstance(res, Exception):
-            raise res
+            arrays[f"{key}/error"] = np.array(f"{type(res).__name__}: {res}")
+            continue
         for f in dataclasses.fields(res):
             value = getattr(res, f.name)
             if f.name == "params":
@@ -99,9 +135,9 @@ def dump(path: str, batched: bool = False) -> int:
 
 
 def cli(out_dir: str) -> int:
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-    import workloads
     from mollifit.cli import main as mollifit
+
+    workloads = bench_workloads()
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -123,7 +159,26 @@ def cli(out_dir: str) -> int:
     return 1 if failed else 0
 
 
+def cli_failures(out_dir: Path) -> str:
+    """Failed ``mc`` replications and forecast fallback windows, as the benchmark counts them."""
+
+    def tables(kind):
+        for path in sorted(out_dir.glob(f"{kind}-*.csv")):
+            with path.open(newline="") as f:
+                yield list(csv.DictReader(f))
+
+    # An mc table repeats its cell's failures on every parameter row.
+    failures = sum(
+        sum({(r["loss"], r["law"], r["n"]): int(r["failures"]) for r in table}.values())
+        for table in tables("mc")
+    )
+    fallbacks = sum(int(r["fallback_count"]) for table in tables("forecast") for r in table)
+    return f"{out_dir}: mc failures {failures}, forecast fallbacks {fallbacks}"
+
+
 def compare_dirs(dir_a: Path, dir_b: Path) -> int:
+    print(cli_failures(dir_a))
+    print(cli_failures(dir_b))
     files_a = {p.name for p in dir_a.iterdir()}
     files_b = {p.name for p in dir_b.iterdir()}
     diffs = []
@@ -140,6 +195,10 @@ def compare(path_a: str, path_b: str) -> int:
     if Path(path_a).is_dir() and Path(path_b).is_dir():
         return compare_dirs(Path(path_a), Path(path_b))
     a, b = np.load(path_a), np.load(path_b)
+    for path, arrays in ((path_a, a), (path_b, b)):
+        raised = sum(name.endswith("/error") for name in arrays.files)
+        stuck = sum(name.endswith("/converged") and not arrays[name] for name in arrays.files)
+        print(f"{path}: {raised} fits raised, {stuck} fits with converged=False")
     diffs = []
     for name in sorted(set(a.files) | set(b.files)):
         if name not in a.files or name not in b.files:
@@ -188,7 +247,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     dump_parser = sub.add_parser("dump")
-    dump_parser.add_argument("--batched", action="store_true")
+    source = dump_parser.add_mutually_exclusive_group()
+    source.add_argument("--batched", action="store_true")
+    source.add_argument("--bench", action="store_true")
     dump_parser.add_argument("out")
     cli_parser = sub.add_parser("cli")
     cli_parser.add_argument("out_dir")
@@ -197,7 +258,7 @@ def main(argv=None) -> int:
     cmp_parser.add_argument("b")
     args = parser.parse_args(argv)
     if args.command == "dump":
-        return dump(args.out, args.batched)
+        return dump(args.out, args.batched, args.bench)
     if args.command == "cli":
         return cli(args.out_dir)
     return compare(args.a, args.b)
