@@ -281,24 +281,7 @@ def gen_example(
         raise ConfigurationError("example datasets need n >= 50")
     spec, truth = example_model(example)
     config = _example_dgp_config(n, law, recenter_tau, error_scale)
-    rng_w, rng_eps, rng_e = rng.spawn(3)
-    X = gen_unit_root(config, rng_w)
-    Z = gen_trending_stationary(config, rng_eps)
-    e = gen_errors(law, n, error_scale, recenter_tau, rng_e)
-    y = regression_mean(spec, truth, X, Z) + e
-    data = Dataset(
-        y=y,
-        X=X,
-        Z=Z,
-        meta={
-            "example": example,
-            "law": law.value,
-            "n": n,
-            "error_scale": error_scale,
-            "recenter_tau": recenter_tau,
-        },
-    )
-    return data, spec, truth
+    return simulate_generic(config, spec, truth, rng), spec, truth
 
 
 def simulate_generic(
@@ -315,7 +298,7 @@ def simulate_generic(
         config.error_law, config.n, config.error_scale, config.quantile_recentering, rng_e
     )
     y = regression_mean(model, params, X, Z) + e
-    return Dataset(y=y, X=X, Z=Z, meta={"law": config.error_law.value, "n": config.n})
+    return Dataset(y=y, X=X, Z=Z)
 
 
 def dataset_to_csv(data: Dataset) -> str:
@@ -347,6 +330,9 @@ def table_from_csv(text: str) -> tuple[dict[str, np.ndarray], list[str] | None]:
     if len(lines) == 1:
         raise ConfigurationError("table has a header but no data rows")
     header = [h.strip() for h in lines[0].split(",")]
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise ConfigurationError(f"repeated column name(s) in table header: {', '.join(repeated)}")
     rows = [ln.split(",") for ln in lines[1:]]
     if any(len(r) != len(header) for r in rows):
         raise ConfigurationError("ragged row in input table")
@@ -380,4 +366,4 @@ def dataset_from_csv(text: str) -> Dataset:
     n, d1 = body.shape[0], len(xs)
     X = body[:, 1 : 1 + d1] if xs else np.zeros((n, 1))
     Z = body[:, 1 + d1 :] if zs else np.zeros((n, 1))
-    return Dataset(y=body[:, 0], X=X, Z=Z, meta={"columns": names})
+    return Dataset(y=body[:, 0], X=X, Z=Z)

@@ -18,17 +18,18 @@ smooth ones globally), and the final iterations run at the sample-size order
 The starts of a fit, and the fits of one :func:`fit_many` call, run in
 lockstep.  Each start's iteration is a generator (``_minimize_one``) that
 keeps only its control flow (rungs, budgets, the subgradient fallback, the
-stall rules) and yields its work as requests of three kinds: a Newton step
-(the start's parameters, residuals, smoothing order and flags), a solve
-(the subgradient fallback's system) and a line search (parameters, step,
-objective to beat).  One loop (``_lockstep``) serves the requests of all
-live (fit, start) jobs of one sample size, each kind in one batched call
-per round, and owns the arithmetic: the step server computes the scores,
-weights and subgradients of all steps on one (S, n) residual block, then
-(S, n, P) Jacobians and one batched solve; the search server advances every
-pending search by one block of trial points in one evaluation and resumes
-a start only when its search ends.  A search tries ``alpha = 1, d, d^2,
-...`` (repeated multiplication by ``damping``) in blocks of rows that
+stall rules) and yields its work as requests of two kinds: a Newton step
+(the start's parameters, residuals, smoothing order and flags) and a line
+search (parameters, step, objective to beat).  A step that the subgradient
+fallback may follow comes back with the fallback's direction too, solved
+from the same normal matrix.  One loop (``_lockstep``) serves the requests
+of all live (fit, start) jobs of one sample size, each kind in one batched
+call per round, and owns the arithmetic: the step server computes the
+scores, weights and subgradients of all steps on one (S, n) residual block,
+then (S, n, P) Jacobians and one batched solve; the search server advances
+every pending search by one block of trial points in one evaluation and
+resumes a start only when its search ends.  A search tries ``alpha = 1, d,
+d^2, ...`` (repeated multiplication by ``damping``) in blocks of rows that
 double in size, and takes the first row that lowers ``L_n``.  A budget of
 ``_BLOCK_ELEMENTS`` elements caps the (rows, n) trial blocks and the number
 of jobs per lockstep group, so at large n a fit runs one start and one
@@ -106,13 +107,12 @@ class FitOptions:
     multistart: int | None = None
     damping: float = 0.5
     ridge: float = 1e-10
-    loss_scale: float = 1.0
     track_descent: bool = False
     init_params: ParamVector | None = None
 
     def __post_init__(self):
         # Comparisons fail on NaN, so each check reads "is valid", not "is bad".
-        for name in ("tol", "m_epsilon", "loss_scale"):
+        for name in ("tol", "m_epsilon"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
@@ -316,13 +316,7 @@ def _build_starts(layout: ParamLayout, data: Dataset, n_starts: int, init: Param
 
 
 class _LossEngine:
-    """Objective and smoothed derivatives of the (unscaled) loss, over blocks of rows.
-
-    A positive rescaling of the loss does not move its minimizer, so the
-    optimizer always works with the base loss; the ``loss_scale`` test hook
-    is applied to the reported objective values only.  This keeps the
-    iterates bitwise identical under rescaling.
-    """
+    """Objective and smoothed derivatives of the loss, over blocks of rows."""
 
     def __init__(self, loss: LossSpec):
         self.loss = loss
@@ -393,14 +387,14 @@ def _minimize_one(opts, smooth, flat, e, L, m_target):
     ``flat`` is the normalized start, ``e`` its residuals and ``L`` its
     objective.  The generator keeps the start's control flow and yields its
     work to :func:`_lockstep`, which sends the results back:
-    ``("step", flat, e, m, exact, fall_back)`` gets ``(H, delta,
-    max|delta|, g)`` from :func:`_newton_steps`, the Newton step of the
-    order-``m`` smoothed score (the exact subgradient if ``exact``) with its
-    ridged normal matrix, and ``g`` the gradient of the exact subgradient
-    if ``fall_back``, else None; ``("solve", H, g)`` gets the solution;
-    ``("search", flat, delta, L, size)`` gets the line search's result from
-    :func:`_search`.  A failed solve or search is thrown in.  Returns the
-    start's :class:`_StartOutcome`.
+    ``("step", flat, e, m, exact, fall_back)`` gets ``(delta, max|delta|,
+    fallback)`` from :func:`_newton_steps`, the Newton step of the
+    order-``m`` smoothed score (the exact subgradient if ``exact``) and, if
+    ``fall_back``, the step of the exact subgradient from the same normal
+    matrix or the error of its solve, else None; ``("search", flat, delta,
+    L, size)`` gets the line search's result from :func:`_search`.  A
+    failed step or search is thrown in.  Returns the start's
+    :class:`_StartOutcome`.
     """
     L_start = L
     trace = [L]
@@ -419,10 +413,10 @@ def _minimize_one(opts, smooth, flat, e, L, m_target):
         stalled = False
         exact = False
         for _ in range(budget):
-            # Where the subgradient fallback below can follow, its gradient
+            # Where the subgradient fallback below can follow, its direction
             # comes with the step: the Jacobian does not outlive the step.
             can_fall_back = last and smooth and not accepted_any
-            H, delta, last_delta_sup, g_exact = yield "step", flat, e, m, exact, can_fall_back
+            delta, last_delta_sup, fallback = yield "step", flat, e, m, exact, can_fall_back
             if last_delta_sup < rung_tol:
                 if last:
                     converged = True
@@ -437,8 +431,9 @@ def _minimize_one(opts, smooth, flat, e, L, m_target):
                 # along it.  After an accepted step, a refused step is a
                 # stall and ends the search (see below).
                 exact = True
-                delta = yield "solve", H, g_exact
-                found = yield "search", flat, delta, L, size
+                if isinstance(fallback, Exception):
+                    raise fallback
+                found = yield "search", flat, fallback, L, size
             iters += 1
             if found is None:
                 stalled = True
@@ -588,8 +583,9 @@ def _newton_steps(layout, opts, engine, regs, requests, names, work, held):
     the two (>= S, n, P) arrays of ``work``.  ``held[0]`` keys the Jacobian
     block in ``work[0]`` by its rows' datasets and iterates; a round that
     asks for exactly those rows, in that order, uses the block as it is.
-    Per request: ``(H, step, max|step|, J' subgradient)``, the last None
-    without ``fall_back``, or the solver's error.
+    Per request: ``(step, max|step|, fallback)``, or the solver's error;
+    ``fallback`` is None without ``fall_back``, else the solution of the
+    same ridged normal matrix against ``J' subgradient`` or its error.
     """
     rows, flats, es, ms, exact, fall_back = zip(*requests)
     scores, weights, G = engine.derivatives(
@@ -625,8 +621,14 @@ def _newton_steps(layout, opts, engine, regs, requests, names, work, held):
     steps = _solve_each(H, g, names)
     D = np.array([np.zeros(layout.size) if isinstance(s, Exception) else s for s in steps])
     sups = np.max(np.abs(D), axis=1).tolist()
+    fallbacks = [None] * len(steps)
+    ks = [k for k in np.flatnonzero(fall_back) if not isinstance(steps[k], Exception)]
+    if ks:
+        g_exact = np.array([J[k].T @ G[k] for k in ks])
+        for k, fallback in zip(ks, _solve_each(H[ks], g_exact, names)):
+            fallbacks[k] = fallback
     return [
-        s if isinstance(s, Exception) else (H[k], s, sups[k], J[k].T @ G[k] if fall_back[k] else None)
+        s if isinstance(s, Exception) else (s, sups[k], fallbacks[k])
         for k, s in enumerate(steps)
     ]
 
@@ -638,13 +640,12 @@ def _lockstep(layout, opts, engine, jobs):
     n``, the jobs of a group in lockstep over the group's
     :class:`_Regressors`.  The group's starts are normalized and evaluated
     in one call; a start that cannot be normalized fails its job.  A round
-    then serves the group's requests kind by kind, each kind in one batched
-    call: Newton steps, then solves, then one block of every pending line
-    search.  A job gets its reply at once, so a request that follows in the
-    same round's order (the search after a step) is served in the same
-    round, and a search resumes its job only when it ends.  Every job
-    follows its serial path bitwise.  Per job, in order: its
-    :class:`_StartOutcome`, or the exception it raised.
+    then serves the group's requests in two batched calls: the Newton steps,
+    then one block of every pending line search.  A job gets its reply at
+    once, so the search after a step is served in the same round, and a
+    search resumes its job only when it ends.  Every job follows its serial
+    path bitwise.  Per job, in order: its :class:`_StartOutcome`, or the
+    exception it raised.
     """
     names = {col: name for name, col in layout.scalars}
     n = jobs[0][0].n
@@ -669,14 +670,14 @@ def _lockstep(layout, opts, engine, jobs):
                 gens[i] = _minimize_one(opts, engine.smooth, F[r], E[r].copy(), float(Ls[r]), jobs[i][2])
             else:
                 outcomes[i] = DegenerateParameterError("cannot normalize a zero index vector")
-        requests, searches = {}, {}
+        steps, searches = {}, {}
         # The key of the Jacobian block in work[0]; the dataset numbers of
         # a key are this group's, so each group starts without one.
         held = [None]
 
         def send(answers):
             for i, answer in answers.items():
-                requests.pop(i, None)
+                steps.pop(i, None)
                 searches.pop(i, None)
                 try:
                     if isinstance(answer, Exception):
@@ -692,23 +693,13 @@ def _lockstep(layout, opts, engine, jobs):
                 if request[0] == "search":
                     searches[i] = _Search(src[i], *request[1:])
                 else:
-                    requests[i] = request
+                    steps[i] = (src[i], *request[1:])
 
-        # One batched server per request kind, in the order a round serves them.
-        servers = {
-            "step": lambda ids: _newton_steps(
-                layout, opts, engine, regs, [(src[i], *requests[i][1:]) for i in ids], names, work, held
-            ),
-            "solve": lambda ids: _solve_each(
-                np.array([requests[i][1] for i in ids]), np.array([requests[i][2] for i in ids]), names
-            ),
-        }
         send(dict.fromkeys(gens))
-        while requests or searches:
-            for kind, serve in servers.items():
-                ids = [i for i, req in requests.items() if req[0] == kind]
-                if ids:
-                    send(dict(zip(ids, serve(ids))))
+        while steps or searches:
+            if steps:
+                requests = list(steps.values())
+                send(dict(zip(steps, _newton_steps(layout, opts, engine, regs, requests, names, work, held))))
             if searches:
                 send(_search(layout, engine, regs, searches, alphas))
     return outcomes
@@ -739,10 +730,9 @@ def _result(layout, data, opts, m_order, outcomes) -> FitResult:
         sigma_hat = estimate_sigma(model, params, data)
         if a2 * a2 > 0:  # a2 >= 0; its square underflows below ~1e-162
             stat_cov = stationary_covariance(a1, a2, sigma_hat, data.n)
-    k = opts.loss_scale
     return FitResult(
         params=params,
-        objective=k * (best.objective - best.start_objective),
+        objective=best.objective - best.start_objective,
         a1_hat=a1,
         a2_hat=a2,
         sigma_hat=sigma_hat,
@@ -752,7 +742,7 @@ def _result(layout, data, opts, m_order, outcomes) -> FitResult:
         residuals=res,
         start_index=best_index,
         mollifier_m=m_order.m,
-        descent_trace=[k * v for v in best.trace] if opts.track_descent else None,
+        descent_trace=best.trace if opts.track_descent else None,
     )
 
 

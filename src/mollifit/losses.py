@@ -58,9 +58,10 @@ class LossSpec:
             raise ConfigurationError(
                 f"quantile level must lie in (0,1), got {self.param}"
             )
-        if self.kind is LossKind.HUBER and not self.param > 0.0:
+        # An infinite threshold makes every smoothed Huber score NaN.
+        if self.kind is LossKind.HUBER and not (math.isfinite(self.param) and self.param > 0.0):
             raise ConfigurationError(
-                f"huber threshold must be positive, got {self.param}"
+                f"huber threshold must be finite and positive, got {self.param}"
             )
 
     @property
@@ -109,8 +110,7 @@ class MollifierOrder:
     m: float
 
     def __post_init__(self):
-        if not self.m >= 1.0:
-            raise ConfigurationError(f"mollifier order must be >= 1, got {self.m}")
+        _as_m(self.m)
 
     @staticmethod
     def from_sample_size(n: int, epsilon: float = 0.1) -> "MollifierOrder":
@@ -125,8 +125,9 @@ def _as_m(m):
     if isinstance(m, MollifierOrder):
         return m.m
     m = np.asarray(m, dtype=float) if np.ndim(m) else float(m)
-    if not np.all(m >= 1.0):
-        raise ConfigurationError(f"mollifier order must be >= 1, got {m}")
+    # An infinite order makes the smoothed curvature inf * 0 = NaN at u = 0.
+    if not np.all(np.isfinite(m) & (m >= 1.0)):
+        raise ConfigurationError(f"mollifier order must be finite and >= 1, got {m}")
     return m
 
 

@@ -181,14 +181,6 @@ class ParamVector:
         self.gamma1 = np.asarray(self.gamma1, dtype=float).ravel()
         self.gamma2 = np.asarray(self.gamma2, dtype=float).ravel()
 
-    def copy(self) -> "ParamVector":
-        return ParamVector(
-            [t.copy() for t in self.theta1],
-            self.gamma1.copy(),
-            [t.copy() for t in self.theta2],
-            self.gamma2.copy(),
-        )
-
 
 def validate_params(model: ModelSpec, params: ParamVector):
     if len(params.theta1) != model.n_theta1_blocks:
@@ -210,12 +202,11 @@ def validate_params(model: ModelSpec, params: ParamVector):
 
 @dataclass
 class Dataset:
-    """Observed rows (y, x, z) plus free-form provenance metadata."""
+    """Observed rows (y, x, z)."""
 
     y: np.ndarray
     X: np.ndarray
     Z: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         # C order: a regressor block then rounds the same in a fit of its

@@ -345,23 +345,51 @@ def test_criterion_08_descent_and_scale_invariance():
         descent_ok &= bool(
             np.all(np.diff(trace) <= 1e-12 * (1.0 + np.abs(trace[:-1])))
         )
-    scale_ok = True
-    worst = 0.0
+    # Regression equivariance (Koenker 2005, Quantile Regression, 2.2.3):
+    # with identity links the mean is linear in gamma, so the fit to c*y is
+    # c times the fit to y, for Huber with its threshold scaled by c too.
+    # It holds up to the smoothing and the stop rule.  Measured at c = 7.3
+    # (and 0.25) on the instances below:
+    # * the relative 2-norm change of the fitted mean is at most 3.1e-9
+    #   (8.8e-6) for Huber and 1.7e-10 (4.6e-10) for squared error;
+    # * for LAD and quantile loss the fitted mean moves by up to 9% along
+    #   the flat directions of a kink loss, so the check is on L_n, whose
+    #   relative change from c*L_n is at most 1.4e-4 (6.6e-4): the final
+    #   rung's order m = n^(2+eps) does not scale with y.
+    # Kind 2 (the gauss_pdf link) is left out: its objective has several
+    # local minima, the winning start flips on up to 12 of its 33 instances
+    # per loss, and L_n moves by up to 14%.
+    # The bounds below keep a margin of 7x or more over these.
+    c = 7.3
+    checks = (  # loss, its form for c*y, what is compared, bound
+        (LAD, LAD, "L_n", 1e-3),
+        (Q3, Q3, "L_n", 1e-3),
+        (HUB, huber_loss(1.25 * c), "mean", 1e-7),
+        (SQUARED_ERROR, SQUARED_ERROR, "mean", 1e-8),
+    )
+    worst = [0.0] * len(checks)
     for seed in range(100):
         ms, data = _random_instance(seed)
-        loss = losses[seed % 3]  # skip pure SE cycling alignment, keep variety
-        layout = ParamLayout(ms)
-        a = fit(ms, data, FitOptions(loss=loss, multistart=2))
-        b = fit(ms, data, FitOptions(loss=loss, multistart=2, loss_scale=7.3))
-        diff = float(np.max(np.abs(layout.pack(a.params) - layout.pack(b.params))))
-        worst = max(worst, diff)
-        scale_ok &= diff <= 1e-8
+        if seed % 3 == 2:
+            continue
+        scaled = Dataset(c * data.y, data.X, data.Z)
+        for k, (loss, loss_c, what, _) in enumerate(checks):
+            a = fit(ms, data, FitOptions(loss=loss, multistart=2))
+            b = fit(ms, scaled, FitOptions(loss=loss_c, multistart=2))
+            if what == "mean":
+                mean_a, mean_b = c * (data.y - a.residuals), scaled.y - b.residuals
+                change = np.linalg.norm(mean_b - mean_a) / np.linalg.norm(mean_a)
+            else:
+                L_a = c * float(np.sum(eval_loss(loss, a.residuals)))
+                change = abs(float(np.sum(eval_loss(loss_c, b.residuals))) - L_a) / L_a
+            worst[k] = max(worst[k], change)
+    scale_ok = all(w <= check[3] for w, check in zip(worst, checks))
     elapsed = time.time() - t0
     ok = descent_ok and scale_ok and elapsed < 120
-    _line(8, "descent and scale invariance", ok, t0,
-          f"worst scale-change drift {worst:.2e}")
+    _line(8, "descent and scale equivariance", ok, t0, "worst relative changes " + ", ".join(
+        f"{loss.label()} {what} {w:.2e}" for w, (loss, _, what, _) in zip(worst, checks)))
     assert descent_ok
-    assert scale_ok
+    assert scale_ok, worst
     assert elapsed < 120.0
 
 

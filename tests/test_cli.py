@@ -214,6 +214,39 @@ def test_fit_cli_rejects_an_option_that_breaks_the_fit(tmp_path, capsys, name, v
     assert f"{name} must be finite" in capsys.readouterr().err
 
 
+def test_cli_rejects_an_infinite_huber_threshold_or_order(tmp_path, capsys):
+    # Each used to run: fit stopped on a singular-matrix error, mc wrote an
+    # all-NaN table and loss-probe a NaN curvature column.
+    data = tmp_path / "d.csv"
+    assert run(["simulate", "--example", "ex51", "--n", "100", "--seed", "3",
+                "--out", str(data)]) == 0
+    for argv in (
+        ["fit", "--data", str(data), "--example-model", "ex51", "--loss", "huber:inf"],
+        ["mc", "--example", "ex51", "--n", "50", "--reps", "3", "--losses", "huber:inf",
+         "--laws", "d1"],
+    ):
+        capsys.readouterr()
+        assert run(argv + ["--out", str(tmp_path / "r.out")]) == 2, argv[0]
+        assert "huber threshold must be finite" in capsys.readouterr().err
+    assert run(["loss-probe", "--loss", "lad", "--m", "inf", "--grid=-1:1:0.5",
+                "--out", str(tmp_path / "p.csv")]) == 2
+    assert "mollifier order must be finite" in capsys.readouterr().err
+    assert not any(tmp_path.glob("[rp].*"))
+
+
+def test_forecast_rejects_a_repeated_column_name(tmp_path, capsys):
+    # The panel's second x column used to replace the first unseen.
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((60, 2))
+    y = 2.0 * x[:, 0] + 0.1 * rng.standard_normal(60)
+    data = tmp_path / "panel.csv"
+    data.write_text("y,x,x\n" + "".join(f"{y[i]!r},{x[i, 0]!r},{x[i, 1]!r}\n" for i in range(60)))
+    capsys.readouterr()
+    assert run(["forecast", "--data", str(data), "--window", "40", "--loss", "se",
+                "--x-cols", "x", "--out", str(tmp_path / "r.csv")]) == 2
+    assert "repeated column name(s) in table header: x" in capsys.readouterr().err
+
+
 def test_fit_cli_dimension_mismatch(tmp_path):
     data = tmp_path / "d.csv"
     assert run(["simulate", "--example", "ex52", "--n", "100", "--law", "normal",

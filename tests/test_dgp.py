@@ -18,6 +18,7 @@ from mollifit.dgp import (
     gen_unit_root,
     law_quantile,
     rng_for,
+    table_from_csv,
 )
 from mollifit.exceptions import ConfigurationError, ShapeError
 from mollifit.model import residuals
@@ -297,3 +298,11 @@ def test_dataset_csv_roundtrip():
     np.testing.assert_array_equal(back.y, data.y)
     np.testing.assert_array_equal(back.X, data.X)
     np.testing.assert_array_equal(back.Z, data.Z)
+
+
+def test_table_rejects_repeated_column_names():
+    # Keyed by name, the last of two same-named columns would silently win.
+    with pytest.raises(ConfigurationError, match="repeated column name.*: x$"):
+        table_from_csv("y,x,x\n1,2,3\n4,5,6\n")
+    with pytest.raises(ConfigurationError, match="repeated"):
+        dataset_from_csv("y,x1,z1,x1\n1,2,3,4\n")

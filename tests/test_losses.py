@@ -39,6 +39,20 @@ def test_spec_validation():
         MollifierOrder(0.5)
 
 
+def test_spec_and_order_require_finite_values():
+    # An infinite Huber threshold makes every smoothed Huber score NaN, and
+    # an infinite order makes the smoothed curvature at a kink inf * 0.
+    with pytest.raises(ConfigurationError, match="huber threshold must be finite"):
+        huber_loss(math.inf)
+    with pytest.raises(ConfigurationError, match="mollifier order must be finite"):
+        MollifierOrder(math.inf)
+    for call in (mollified_eval, mollified_grad, mollified_hess):
+        with pytest.raises(ConfigurationError, match="mollifier order must be finite"):
+            call(LAD, math.inf, 0.0)
+        with pytest.raises(ConfigurationError, match="mollifier order must be finite"):
+            call(LAD, np.array([[100.0], [math.inf]]), np.zeros((2, 3)))
+
+
 def test_loss_labels_read_back_exactly():
     for token in ("quantile:0.3", "huber:1.25", "quantile:0.1", "quantile:0.5",
                   "quantile:0.9", "lad", "se"):

@@ -15,17 +15,22 @@ errors recentred at tau for the quantile loss.
 every ``FitResult`` field of every fit (``params`` packed, the descent trace
 recorded), or, for a fit that raises, its error type and message.  With
 ``--batched`` it fits through ``fit_many``, one call per (example, loss,
-protocol) over all n and seeds, so the datasets of a call have mixed n; its
-dump must equal the serial one.  With ``--bench`` it fits the first passes
-of the benchmark's ``fit-small`` and ``fit-large`` workloads for seeds 1
-and 2718 instead, as the benchmark fits them (``bench/workloads.py``,
-normal and t2 errors, n up to 50 000).  ``compare`` prints, for each dump,
-the fits that raised and the fits with ``converged=False``; it lists each
-fit and field whose dtype, shape or bytes differ between two dumps, and
-exits 1 if there is any.  It then sums up the differences against the gates
-of a change that is not bitwise: the largest parameter move, the fits whose
-winning start or convergence flag flipped, and the largest relative rise of
-the final objective L_n (the last entry of the descent trace).
+protocol) over all n and seeds, so the datasets of a call have mixed n;
+these arrays must equal the serial dump's.  A second pass (keys
+``cross-...``) repeats the truth-anchored calls at one job per lockstep
+group, each dataset led by a zero-noise one on other regressors, so that
+consecutive groups open at the same dataset number and iterate; each of
+its noisy fits must equal the grid fit of its key.  With ``--bench`` it
+fits the first passes of the benchmark's ``fit-small`` and ``fit-large``
+workloads for seeds 1 and 2718 instead, as the benchmark fits them
+(``bench/workloads.py``, normal and t2 errors, n up to 50 000).
+``compare`` prints, for each dump, the fits that raised and the fits with
+``converged=False``; it lists each fit and field whose dtype, shape or
+bytes differ between two dumps, and exits 1 if there is any.  It then sums
+up the differences against the gates of a change that is not bitwise: the
+largest parameter move, the fits whose winning start or convergence flag
+flipped, and the largest relative rise of the final objective L_n (the last
+entry of the descent trace).
 
 ``cli`` runs ``mollifit mc`` and the 3-level ``mollifit forecast`` with the
 arguments of the benchmark's ``cli-batch`` workload (``bench/workloads.py``)
@@ -86,6 +91,35 @@ def grid():
                         yield key, model, data, opts
 
 
+def cross_group_calls(calls):
+    """The truth-protocol calls of the batched grid, each dataset led by a zero-noise one.
+
+    Run with a block budget of the smallest n, every job is a lockstep group
+    of its own, and every group's first step asks for its only dataset at
+    the truth.  A zero-noise dataset (y the mean at the truth) starts at its
+    optimum, so for LAD, Huber and squared error its group's only Jacobian
+    block sits at the truth too.  Its regressors are those of the next seed
+    of the same n, so a block kept across groups would serve the next group
+    the wrong Jacobian.  (A zero-noise copy of the led dataset itself would
+    not show it: the Jacobian depends on the regressors only.)
+    """
+    from mollifit.model import Dataset, regression_mean
+
+    for (*_, protocol), (model, opts, keyed) in calls.items():
+        if protocol != "truth":
+            continue
+        by_n = {}
+        for key, data in keyed:
+            by_n.setdefault(data.n, []).append((key, data))
+        led = []
+        for same_n in by_n.values():
+            for k, (key, data) in enumerate(same_n):
+                other_key, other = same_n[(k + 1) % len(same_n)]
+                exact = Dataset(regression_mean(model, opts.init_params, other.X, other.Z), other.X, other.Z)
+                led += [(f"cross-{other_key}-zero-noise", exact), (f"cross-{key}", data)]
+        yield model, opts, led
+
+
 def fit_or_error(fit, *args):
     from mollifit.exceptions import MollifitError
 
@@ -96,6 +130,7 @@ def fit_or_error(fit, *args):
 
 
 def dump(path: str, batched: bool = False, bench: bool = False) -> int:
+    from mollifit import estimate
     from mollifit.estimate import fit, fit_many
     from mollifit.model import ParamLayout
 
@@ -116,6 +151,14 @@ def dump(path: str, batched: bool = False, bench: bool = False) -> int:
         for model, opts, keyed in calls.values():
             keys, datasets = zip(*keyed)
             results.update(zip(keys, ((model, r) for r in fit_many(model, datasets, opts))))
+        budget = estimate._BLOCK_ELEMENTS
+        estimate._BLOCK_ELEMENTS = min(NS)  # one job per lockstep group
+        try:
+            for model, opts, keyed in cross_group_calls(calls):
+                keys, datasets = zip(*keyed)
+                results.update(zip(keys, ((model, r) for r in fit_many(model, datasets, opts))))
+        finally:
+            estimate._BLOCK_ELEMENTS = budget
     else:
         for key, model, data, opts in grid():
             results[key] = model, fit_or_error(fit, model, data, opts)
