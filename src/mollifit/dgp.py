@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .exceptions import ConfigurationError, ShapeError
@@ -184,6 +183,10 @@ def law_quantile(law: ErrorLaw, p: float) -> float:
         a = 2.0 * p - 1.0
         return a * math.sqrt(2.0 / (1.0 - a * a))
     # Mixed normal: 0.9 N(0,1) + 0.1 N(0,4); numeric root of the cdf.
+    # Imported here: scipy.optimize loads scipy.linalg, scipy.sparse and
+    # more, which no other command path needs.
+    from scipy.optimize import brentq
+
     cdf = lambda x: 0.9 * ndtr(x) + 0.1 * ndtr(x / 2.0) - p
     return float(brentq(cdf, -60.0, 60.0, xtol=1e-12, rtol=8.9e-16))
 

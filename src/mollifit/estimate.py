@@ -276,12 +276,15 @@ def _build_starts(layout: ParamLayout, data: Dataset, n_starts: int, init: Param
     """Packed least-squares warm start plus deterministic sphere starts.
 
     An explicit ``init`` replaces the warm start as start 0 (used e.g. by
-    the Monte Carlo harness to anchor fits at the simulation truth).  The
+    the Monte Carlo harness to anchor fits at the simulation truth); with
+    one start, the warm start is then not computed at all.  The
     sphere starts vary the index vectors used by a nonlinear link, or every
     index vector when all links are linear.
     """
     if init is not None:
         validate_params(layout.model, init)
+        if n_starts == 1:
+            return [layout.pack(init)]
     # Every index vector on X (then Z) starts at the unit direction of the
     # X (Z) coefficients in one least-squares fit on the blocks in use.
     used = sorted({t.stationary for t in layout.terms})
@@ -295,10 +298,7 @@ def _build_starts(layout: ParamLayout, data: Dataset, n_starts: int, init: Param
     warm = np.zeros(layout.size)
     for t in layout.terms:
         warm[t.theta] = direction[t.stationary]
-    if init is not None:
-        starts = [layout.pack(init)]
-    else:
-        starts = [_gamma_refit(layout, data, warm.copy())]
+    starts = [layout.pack(init) if init is not None else _gamma_refit(layout, data, warm.copy())]
 
     vary = [
         theta

@@ -15,7 +15,6 @@ from functools import partial
 from itertools import groupby
 
 import numpy as np
-from scipy.optimize import brentq
 
 # fit stays a module attribute for bench/tracing.py, which wraps it here.
 from .estimate import FitOptions, fit, fit_many  # noqa: F401
@@ -68,7 +67,10 @@ def constant_predictor(y: np.ndarray, loss: LossSpec) -> float:
         return float(np.median(y))
     if loss.kind is LossKind.QUANTILE:
         return float(np.quantile(y, loss.param, method="inverted_cdf"))
-    # Huber location: root of the monotone score sum psi_c(y - mu).
+    # Huber location: root of the monotone score sum psi_c(y - mu).  Imported
+    # here for the same reason as in ``dgp.law_quantile``.
+    from scipy.optimize import brentq
+
     lo, hi = float(np.min(y)), float(np.max(y))
     if lo == hi:
         return lo

@@ -34,7 +34,7 @@ def parallel_map(fn, items, workers: int) -> list:
     size = math.ceil(len(items) / (workers * CHUNKS_PER_WORKER))
     chunks = [items[lo : lo + size] for lo in range(0, len(items), size)]
     # The platform's default start method (fork on Linux): a spawned worker
-    # re-imports numpy and scipy, about 1.4 s per 2-worker pool on a 2-core
-    # host against about 30 ms for fork.
+    # re-imports numpy, scipy.special and mollifit, about 0.8 s per 2-worker
+    # pool on a 2-core host against about 15 ms for fork.
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [result for part in pool.map(fn, chunks) for result in part]

@@ -678,3 +678,21 @@ def test_lockstep_raises_the_error_of_the_first_failing_start(monkeypatch):
     assert isinstance(out[2], RankDeficiencyError) and str(out[2]) == "start 2"
     with pytest.raises(DegenerateParameterError, match="start 1"):
         estimate._result(layout, data, opts, None, out)
+
+
+def test_a_truth_anchored_single_start_fits_no_least_squares_warm_start(monkeypatch):
+    # With init_params and one start, the warm start would only be thrown
+    # away; the fit must not compute it.
+    data, spec, truth = gen_example("ex51", 200, ErrorLaw.T2, rng_for(1, 0))
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    fit(spec, data, FitOptions(loss=LAD, init_params=truth, multistart=1))
+    assert len(calls) == 0
+    fit(spec, data, FitOptions(loss=LAD, init_params=truth, multistart=2))
+    assert len(calls) > 0

@@ -35,12 +35,16 @@ entry of the descent trace).
 ``cli`` runs ``mollifit mc`` and the 3-level ``mollifit forecast`` with the
 arguments of the benchmark's ``cli-batch`` workload (``bench/workloads.py``)
 for seeds 1 and 2718 at ``--threads`` 1 and 2, the forecast on the first
-two of the workload's panels of each seed, and writes the panels, the
-``mc`` CSV, the forecast report and error dump and every sidecar into
-OUT_DIR.  ``compare`` of two such directories prints, for each, the failed
-replications of its ``mc`` tables and the fallback windows of its forecast
-reports, counted as the benchmark counts them; it lists each file that is
-in one only or whose bytes differ, and exits 1 if there is any.
+two of the workload's panels of each seed.  It then runs the commands that
+reach the two root-finds: ``simulate`` and a small ``mc`` with
+mixed-normal errors and the quantile loss (the mixed-normal quantile), and
+``forecast --loss huber:1.25`` on seed 1's first panel (the Huber location).
+It writes the panels, the simulated data, the ``mc`` CSVs, the forecast
+reports and error dumps and every sidecar into OUT_DIR.  ``compare`` of
+two such directories prints, for each, the failed replications of its
+``mc`` tables and the fallback windows of its forecast reports, counted as
+the benchmark counts them; it lists each file that is in one only or whose
+bytes differ, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -196,6 +200,20 @@ def cli(out_dir: str) -> int:
                 for k, panel in enumerate(panels)
             ]
             failed += [" ".join(argv) for argv in argvs if mollifit(argv) != 0]
+    # The two root-finds: the mixed-normal quantile (simulate, and mc's
+    # quantile loss under law d2) and the Huber location (forecast's
+    # constant benchmark).
+    argvs = [
+        ["simulate", "--seed", "1", "--example", "ex51", "--n", "200", "--law", "d2",
+         "--recenter-tau", "0.3", "--out", str(out / "simulate-d2.csv")],
+        ["mc", "--seed", "1", "--example", "ex51", "--n", "100", "--reps", "4",
+         "--laws", "d2", "--losses", "l3", "--threads", "1", "--out", str(out / "mc-d2-l3.csv")],
+        ["forecast", "--data", str(out / "panel-s1-0.csv"), "--window", str(workloads.WINDOW),
+         "--x-cols", "x1,x2", "--z-cols", "z1,z2", "--y-col", "y", "--loss", "huber:1.25",
+         "--threads", "1", "--out", str(out / "forecast-huber.csv"),
+         "--dump", str(out / "forecast-huber.csv.dump")],
+    ]
+    failed += [" ".join(argv) for argv in argvs if mollifit(argv) != 0]
     print(f"{len(list(out.iterdir()))} files -> {out}")
     for argv in failed:
         print(f"failed: {argv}")
