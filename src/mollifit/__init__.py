@@ -25,11 +25,13 @@ from .dgp import (
 from .estimate import (
     FitOptions,
     FitResult,
+    Inference,
     estimate_a1,
     estimate_a2,
     estimate_sigma,
     fit,
     fit_many,
+    infer,
     quadratic_minimizer,
     stationary_covariance,
 )

@@ -34,7 +34,7 @@ from .dgp import (
     simulate_generic,
     table_from_csv,
 )
-from .estimate import FitOptions, fit
+from .estimate import FitOptions, fit, infer
 from .exceptions import ConfigurationError, MollifitError
 from .forecast import ForecastConfig, error_dump_csv, report_csv, run_forecast
 from .losses import (
@@ -405,16 +405,17 @@ def cmd_fit(args) -> int:
         raise ConfigurationError("fit needs --example-model or a model config section")
     data = dataset_from_csv(_read_text(args.data, "dataset"))
     res = fit(model, data, FitOptions(loss=opts["loss"], **opts["fit"]))
+    inference = infer(model, data, res, opts["loss"])
     meta = _write_sidecar(
         args.out, {**opts, "model": model_to_config(model)},
         start_index=res.start_index, mollifier_m=res.mollifier_m,
     )
     doc = {
         "params": params_to_config(res.params),
-        "a1_hat": res.a1_hat,
-        "a2_hat": res.a2_hat,
-        "sigma_hat": None if res.sigma_hat is None else res.sigma_hat.tolist(),
-        "stat_cov": None if res.stat_cov is None else res.stat_cov.tolist(),
+        "a1_hat": inference.a1_hat,
+        "a2_hat": inference.a2_hat,
+        "sigma_hat": None if inference.sigma_hat is None else inference.sigma_hat.tolist(),
+        "stat_cov": None if inference.stat_cov is None else inference.stat_cov.tolist(),
         "objective": res.objective,
         "iterations": res.iterations,
         "converged": res.converged,

@@ -13,7 +13,8 @@ unit sphere after every step.
 The smoothing order is annealed: early iterations use a kernel scale matched
 to the current residual spread (which makes the kink losses behave like
 smooth ones globally), and the final iterations run at the sample-size order
-``m = floor(n^(2+eps))``, which also prices the reported curvature average.
+``m = floor(n^(2+eps))``, which also prices the curvature average that
+:func:`infer` reports.
 
 The starts of a fit, and the fits of one :func:`fit_many` call, run in
 lockstep.  Each start's iteration is a generator (``_minimize_one``) that
@@ -131,18 +132,31 @@ class FitOptions:
 
 @dataclass
 class FitResult:
+    """What the optimizer made; :func:`infer` derives the inference from it."""
+
     params: ParamVector
     objective: float
-    a1_hat: float
-    a2_hat: float
-    sigma_hat: np.ndarray | None
-    stat_cov: np.ndarray | None
     iterations: int
     converged: bool
     residuals: np.ndarray
     start_index: int
     mollifier_m: float
     descent_trace: list[float] | None = None
+
+
+@dataclass
+class Inference:
+    """Nuisance estimates at a fit, and the stationary-block covariance.
+
+    ``sigma_hat`` and ``stat_cov`` are None for a model without a
+    stationary block; ``stat_cov`` is None too when ``a2_hat**2``
+    underflows.
+    """
+
+    a1_hat: float
+    a2_hat: float
+    sigma_hat: np.ndarray | None
+    stat_cov: np.ndarray | None
 
 
 def quadratic_minimizer(J, psi_e, a2: float, ridge: float = 0.0) -> np.ndarray:
@@ -705,7 +719,7 @@ def _lockstep(layout, opts, engine, jobs):
     return outcomes
 
 
-def _result(layout, data, opts, m_order, outcomes) -> FitResult:
+def _result(layout, opts, m, outcomes) -> FitResult:
     """The fit's result from its starts' outcomes; the first start's error if any failed.
 
     The best start has the smallest exact objective, ties broken by the
@@ -719,31 +733,36 @@ def _result(layout, data, opts, m_order, outcomes) -> FitResult:
     for si, out in enumerate(outcomes):
         if best is None or out.objective < best.objective:
             best, best_index = out, si
-    model = layout.model
-    params = layout.unpack(best.flat)
-    res = best.residuals
-    a1 = estimate_a1(res, opts.loss)
-    a2 = estimate_a2(res, opts.loss, m_order)
+    return FitResult(
+        params=layout.unpack(best.flat),
+        objective=best.objective - best.start_objective,
+        iterations=best.iterations,
+        converged=best.converged,
+        residuals=best.residuals,
+        start_index=best_index,
+        mollifier_m=m,
+        descent_trace=best.trace if opts.track_descent else None,
+    )
+
+
+def infer(model: ModelSpec, data: Dataset, result: FitResult, loss: LossSpec) -> Inference:
+    """``a1``, ``a2`` at the fit's order, ``Sigma-hat`` and the stationary covariance.
+
+    ``result`` is the fit of ``model`` to ``data`` under ``loss``.  The
+    curvature average is taken at the fit's final smoothing order; without
+    a stationary block, or when ``a2^2`` underflows, the covariance is
+    None.
+    """
+    res = result.residuals
+    a1 = estimate_a1(res, loss)
+    a2 = estimate_a2(res, loss, MollifierOrder(result.mollifier_m))
     sigma_hat = None
     stat_cov = None
     if model.p2 > 0:
-        sigma_hat = estimate_sigma(model, params, data)
+        sigma_hat = estimate_sigma(model, result.params, data)
         if a2 * a2 > 0:  # a2 >= 0; its square underflows below ~1e-162
             stat_cov = stationary_covariance(a1, a2, sigma_hat, data.n)
-    return FitResult(
-        params=params,
-        objective=best.objective - best.start_objective,
-        a1_hat=a1,
-        a2_hat=a2,
-        sigma_hat=sigma_hat,
-        stat_cov=stat_cov,
-        iterations=best.iterations,
-        converged=best.converged,
-        residuals=res,
-        start_index=best_index,
-        mollifier_m=m_order.m,
-        descent_trace=best.trace if opts.track_descent else None,
-    )
+    return Inference(a1_hat=a1, a2_hat=a2, sigma_hat=sigma_hat, stat_cov=stat_cov)
 
 
 def fit_many(model: ModelSpec, datasets, opts: FitOptions) -> list:
@@ -768,7 +787,7 @@ def fit_many(model: ModelSpec, datasets, opts: FitOptions) -> list:
             if data.n < min_rows:
                 raise ShapeError(f"need n >= {min_rows} rows for this model, got {data.n}")
             plans[k] = (
-                MollifierOrder.from_sample_size(data.n, opts.m_epsilon),
+                MollifierOrder.from_sample_size(data.n, opts.m_epsilon).m,
                 _build_starts(layout, data, n_starts, opts.init_params),
             )
         except MollifitError as err:
@@ -776,13 +795,13 @@ def fit_many(model: ModelSpec, datasets, opts: FitOptions) -> list:
             continue
         by_n.setdefault(data.n, []).append(k)
     for ks in by_n.values():
-        jobs = [(datasets[k], start, plans[k][0].m) for k in ks for start in plans[k][1]]
+        jobs = [(datasets[k], start, plans[k][0]) for k in ks for start in plans[k][1]]
         outcomes = iter(_lockstep(layout, opts, engine, jobs))
         for k in ks:
-            m_order, starts = plans[k]
+            m, starts = plans[k]
             mine = [next(outcomes) for _ in starts]
             try:
-                out[k] = _result(layout, datasets[k], opts, m_order, mine)
+                out[k] = _result(layout, opts, m, mine)
             except MollifitError as err:
                 out[k] = err
     return out

@@ -109,6 +109,10 @@ def _prediction(model: ModelSpec, res, x, z):
     return yhat if np.isfinite(yhat) else None
 
 
+def _options(task):
+    return task[0]
+
+
 def _forecast_chunk(y, X, Z, config, tasks) -> list:
     """(model error, benchmark error, fallback flag) per ``(opts, t)`` task.
 
@@ -117,7 +121,7 @@ def _forecast_chunk(y, X, Z, config, tasks) -> list:
     """
     w = config.window
     out = []
-    for opts, group in groupby(tasks, key=lambda task: task[0]):
+    for opts, group in groupby(tasks, key=_options):
         ts = [t for _, t in group]
         windows = [Dataset(y=y[t - w : t], X=X[t - w : t], Z=Z[t - w : t]) for t in ts]
         for t, window, res in zip(ts, windows, fit_many(config.model, windows, opts)):
@@ -132,7 +136,8 @@ def _rolling_forecasts(table: dict, config: ForecastConfig, losses, threads: int
     """``(pred_errors, bench_errors, fallback_count)`` per loss.
 
     Every (loss, window) fit is independent, so all of them go through one
-    parallel map; each error series is assembled in time order.
+    parallel map, cut into chunks within a loss; each error series is
+    assembled in time order.
     """
     y, X, Z = _extract_columns(table, config)
     T = y.size
@@ -143,7 +148,9 @@ def _rolling_forecasts(table: dict, config: ForecastConfig, losses, threads: int
     for loss in losses:
         opts = replace(config.fit_options or FitOptions(loss=loss), loss=loss)
         tasks.extend((opts, t) for t in range(w, T))
-    rows = parallel_map(partial(_forecast_chunk, y, X, Z, config), tasks, threads)
+    rows = parallel_map(
+        partial(_forecast_chunk, y, X, Z, config), tasks, threads, key=_options
+    )
     out = []
     for k in range(len(losses)):
         part = rows[k * (T - w) : (k + 1) * (T - w)]

@@ -7,6 +7,11 @@ exponents across sample sizes.
 Reproducibility contract: every (cell, replication) pair draws from its own
 substream of the base seed, so the table is byte-identical for a given
 McConfig regardless of the worker count.
+
+Tasks run in (loss, n, law, replication) order, so the replications of
+every error law of one (loss, n) are consecutive: ``parallel_map`` cuts
+chunks within a (loss, n), never across two, and the fits of a (loss, n)
+in a chunk share one :func:`fit_many` call.
 """
 
 from __future__ import annotations
@@ -79,16 +84,20 @@ class McTable:
         return self.cells[(param, loss, law, n)]
 
 
+def _loss_and_n(task):
+    return task[0][:2]
+
+
 def _replicate_chunk(config: McConfig, tasks) -> list:
     """Named estimation errors per ``(cell, rep)`` task, None where the fit failed.
 
     Consecutive tasks of one (loss, n) share one :func:`fit_many` call.
     """
     out = []
-    for (loss, n), group in groupby(tasks, key=lambda task: task[0][1:3]):
+    for (loss, n), group in groupby(tasks, key=_loss_and_n):
         recenter = loss.param if loss.kind is LossKind.QUANTILE else None
         datasets = []
-        for (law, _, _, key), rep in group:
+        for (_, _, law, key), rep in group:
             data, model, truth = gen_example(
                 config.example, n, law, rng_for(config.base_seed, *key, rep),
                 recenter_tau=recenter, error_scale=config.error_scale,
@@ -119,15 +128,19 @@ def run_replications(config: McConfig) -> McTable:
         law_tokens=[l.value for l in config.laws],
         n_list=list(config.n_list),
     )
+    # A cell's substream is keyed by its (law, loss, n) indices, whatever
+    # the task order.
     cells = [
-        (law, loss, n, (li, si, ni))
-        for li, law in enumerate(config.laws)
+        (loss, n, law, (li, si, ni))
         for si, loss in enumerate(config.losses)
         for ni, n in enumerate(config.n_list)
+        for li, law in enumerate(config.laws)
     ]
     tasks = [(cell, rep) for cell in cells for rep in range(config.reps)]
-    results = parallel_map(partial(_replicate_chunk, config), tasks, config.threads)
-    for c, (law, loss, n, _) in enumerate(cells):
+    results = parallel_map(
+        partial(_replicate_chunk, config), tasks, config.threads, key=_loss_and_n
+    )
+    for c, (loss, n, law, _) in enumerate(cells):
         cell_results = results[c * config.reps : (c + 1) * config.reps]
         errors = [e for e in cell_results if e is not None]
         failures = config.reps - len(errors)

@@ -10,29 +10,41 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 
-# Chunks per worker: enough that the last chunk leaves little idle time,
-# few enough that a chunk's fits share large lockstep batches.  On the
-# bench cli-batch workload (2 workers) 4 gave the best throughput of 16, 8,
-# 4 and 2.
-CHUNKS_PER_WORKER = 4
+# Chunks per worker, shared out over the runs of equal key: enough that the
+# last chunk leaves little idle time, few enough that a chunk's fits share
+# large lockstep batches.  At 2 workers, 3 gives the bench cli-batch mc one
+# chunk per (loss, n), 6 of 48 fits, and its forecast two per level, 6 of
+# 30 windows.  On that workload (seed 1, 4 rotating rounds of 30 s on 2
+# shared cores) keyed chunks gave median items_per_s of 481, 475 and 473
+# at 1, 3 and 4 chunks per worker, within the 8% spread of one setting's
+# runs.
+CHUNKS_PER_WORKER = 3
 
 
-def parallel_map(fn, items, workers: int) -> list:
+def parallel_map(fn, items, workers: int, key=None) -> list:
     """``fn(chunk)`` over contiguous chunks of ``items``, concatenated in order.
 
     ``fn`` takes a list of items and returns one result per item, so a
     chunk's items can share work.  With ``workers <= 1`` (or fewer than two
     items) it is one call on all items in this process.  Otherwise one
-    process pool runs chunks of ``ceil(len / (workers * CHUNKS_PER_WORKER))``
-    items; results come back in input order either way.  ``fn`` and the
-    items must be picklable.
+    process pool runs the chunks.  No chunk straddles two runs of
+    consecutive items with equal ``key(item)`` (all items are one run
+    without a ``key``), and each run is cut into chunks of ``ceil(len(run)
+    / parts)`` items, ``parts = ceil(workers * CHUNKS_PER_WORKER / runs)``.
+    Results come back in input order either way.  ``fn`` and the items must
+    be picklable.
     """
     items = list(items)
     workers = min(workers, len(items))
     if workers <= 1:
         return fn(items)
-    size = math.ceil(len(items) / (workers * CHUNKS_PER_WORKER))
-    chunks = [items[lo : lo + size] for lo in range(0, len(items), size)]
+    keys = [key(item) for item in items] if key is not None else [None] * len(items)
+    bounds = [0, *(i for i in range(1, len(items)) if keys[i] != keys[i - 1]), len(items)]
+    parts = math.ceil(workers * CHUNKS_PER_WORKER / (len(bounds) - 1))
+    chunks = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        size = math.ceil((hi - lo) / parts)
+        chunks += [items[a : min(a + size, hi)] for a in range(lo, hi, size)]
     # The platform's default start method (fork on Linux): a spawned worker
     # re-imports numpy, scipy.special and mollifit, about 0.8 s per 2-worker
     # pool on a 2-core host against about 15 ms for fork.

@@ -14,6 +14,7 @@ from mollifit.estimate import (
     estimate_sigma,
     fit,
     fit_many,
+    infer,
     quadratic_minimizer,
     stationary_covariance,
 )
@@ -291,12 +292,13 @@ def test_stationary_covariance_examples():
 def test_fit_reports_nuisance_fields():
     data, spec, _ = gen_example("ex51", 100, ErrorLaw.NORMAL, rng_for(95, 0))
     res = fit(spec, data, FitOptions(loss=HUB))
-    assert res.a1_hat >= 0
-    assert res.a2_hat > 0
-    assert res.sigma_hat.shape == (3, 3)
-    np.testing.assert_allclose(res.sigma_hat, res.sigma_hat.T, atol=1e-12)
-    assert np.min(np.linalg.eigvalsh(res.sigma_hat)) >= -1e-10
-    assert res.stat_cov.shape == (3, 3)
+    nuisance = infer(spec, data, res, HUB)
+    assert nuisance.a1_hat >= 0
+    assert nuisance.a2_hat > 0
+    assert nuisance.sigma_hat.shape == (3, 3)
+    np.testing.assert_allclose(nuisance.sigma_hat, nuisance.sigma_hat.T, atol=1e-12)
+    assert np.min(np.linalg.eigvalsh(nuisance.sigma_hat)) >= -1e-10
+    assert nuisance.stat_cov.shape == (3, 3)
     assert res.mollifier_m == float(math.floor(100**2.1))
     # Objective is reported as the descent achieved from the winning start.
     assert res.objective <= 0
@@ -375,10 +377,12 @@ def test_fit_single_block_models():
     X = np.cumsum(rng.standard_normal((n, 2)), axis=0)
     y2 = X @ np.array([0.5, 0.5]) + 0.2 * rng.standard_normal(n)
     ms2 = ModelSpec((IDENTITY,), (), 2, 1)
-    res2 = fit(ms2, Dataset(y2, X, np.zeros((n, 1))), FitOptions(loss=HUB))
+    data2 = Dataset(y2, X, np.zeros((n, 1)))
+    res2 = fit(ms2, data2, FitOptions(loss=HUB))
     assert res2.converged
-    assert res2.sigma_hat is None
-    assert res2.stat_cov is None
+    nuisance2 = infer(ms2, data2, res2, HUB)
+    assert nuisance2.sigma_hat is None
+    assert nuisance2.stat_cov is None
     np.testing.assert_allclose(
         res2.params.gamma1[0] * res2.params.theta1[0], [0.5, 0.5], atol=0.05
     )
@@ -404,8 +408,9 @@ def test_fit_leaves_stat_cov_empty_when_the_curvature_underflows(monkeypatch):
     data, spec, _ = gen_example("ex51", 100, ErrorLaw.NORMAL, rng_for(95, 0))
     monkeypatch.setattr(estimate, "estimate_a2", lambda *args: 1e-170)
     res = fit(spec, data, FitOptions(loss=LAD, multistart=1))
-    assert res.a2_hat == 1e-170
-    assert res.sigma_hat is not None and res.stat_cov is None
+    nuisance = infer(spec, data, res, LAD)
+    assert nuisance.a2_hat == 1e-170
+    assert nuisance.sigma_hat is not None and nuisance.stat_cov is None
 
 
 @pytest.mark.parametrize("example", ["ex51", "ex52"])
@@ -677,7 +682,7 @@ def test_lockstep_raises_the_error_of_the_first_failing_start(monkeypatch):
     assert isinstance(out[1], DegenerateParameterError) and str(out[1]) == "start 1"
     assert isinstance(out[2], RankDeficiencyError) and str(out[2]) == "start 2"
     with pytest.raises(DegenerateParameterError, match="start 1"):
-        estimate._result(layout, data, opts, None, out)
+        estimate._result(layout, opts, None, out)
 
 
 def test_a_truth_anchored_single_start_fits_no_least_squares_warm_start(monkeypatch):

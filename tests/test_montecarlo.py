@@ -78,7 +78,9 @@ def test_reproducibility_bitwise():
 def test_threads_do_not_change_results():
     a = summarize(run_replications(_config(threads=1)), "csv")
     b = summarize(run_replications(_config(threads=2)), "csv")
-    assert a == b
+    # 3 workers share the 4 one-replication chunks unevenly.
+    c = summarize(run_replications(_config(threads=3)), "csv")
+    assert a == b == c
 
 
 def test_mse_identity():

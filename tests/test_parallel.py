@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import mollifit.parallel as parallel
+from mollifit import estimate, montecarlo
 from mollifit.dgp import ErrorLaw
 from mollifit.estimate import FitOptions
 from mollifit.forecast import ForecastConfig, run_forecast
-from mollifit.losses import huber_loss, quantile_loss
+from mollifit.losses import LAD, huber_loss, quantile_loss
 from mollifit.model import IDENTITY, ModelSpec
 from mollifit.montecarlo import McConfig, run_replications
 from mollifit.parallel import parallel_map
@@ -26,6 +27,26 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
     return made
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Runs the helper's chunks in this process, in order."""
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", SerialPool)
 
 
 def _tagged(chunk):
@@ -49,6 +70,80 @@ def test_parallel_map_keeps_input_order(pools):
     assert parallel_map(_tagged, [], 2) == []
     assert parallel_map(_tagged, [5], 2) == [(5, 1, 5)]
     assert pools == [2]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_parallel_map_cuts_chunks_within_runs_of_equal_key(pools, workers):
+    lengths = [7, 12, 5]
+    items = [(run, i) for run, n in enumerate(lengths) for i in range(n)]
+    out = parallel_map(_tagged, items, workers, key=lambda item: item[0])
+    assert pools == [workers]
+    assert [item for _, _, item in out] == items
+    # A chunk is named by its first item; each holds items of one run only.
+    assert all(first[0] == item[0] for first, _, item in out)
+    chunks = sorted({(first, n) for first, n, _ in out})
+    parts = math.ceil(workers * parallel.CHUNKS_PER_WORKER / len(lengths))
+    for run, n in enumerate(lengths):
+        mine = [size for first, size in chunks if first[0] == run]
+        assert len(mine) == parts
+        assert mine[:-1] == [math.ceil(n / parts)] * (parts - 1)
+        assert sum(mine) == n
+
+
+def test_monte_carlo_fits_both_laws_of_a_chunk_in_one_call(serial_pool, monkeypatch):
+    # 2 losses x 3 sample sizes are 6 runs, as many as 2 workers' chunks,
+    # so each chunk is one (loss, n) with the replications of both laws.
+    law_of = {}
+    calls = []
+    gen, fit_many = montecarlo.gen_example, montecarlo.fit_many
+
+    def recording_gen(example, n, law, *args, **kwargs):
+        out = gen(example, n, law, *args, **kwargs)
+        law_of[id(out[0])] = law
+        return out
+
+    def recording_fit_many(model, datasets, opts):
+        calls.append((opts.loss, [d.n for d in datasets], [law_of[id(d)] for d in datasets]))
+        return fit_many(model, datasets, opts)
+
+    monkeypatch.setattr(montecarlo, "gen_example", recording_gen)
+    monkeypatch.setattr(montecarlo, "fit_many", recording_fit_many)
+    hub = huber_loss(1.25)
+    config = McConfig(
+        example="ex51", n_list=[50, 60, 70], reps=2, losses=[hub, LAD],
+        laws=[ErrorLaw.NORMAL, ErrorLaw.T2], base_seed=3,
+        fit_options=FitOptions(loss=hub), threads=2,
+    )
+    run_replications(config)
+    both = [ErrorLaw.NORMAL] * 2 + [ErrorLaw.T2] * 2
+    assert calls == [(loss, [n] * 4, both) for loss in (hub, LAD) for n in (50, 60, 70)]
+
+
+def test_harnesses_compute_no_inference(monkeypatch):
+    # The inference's Sigma-hat is the only caller of param_jacobian; the
+    # optimizer builds its Jacobians with packed_jacobian.
+    calls = []
+    jacobian = estimate.param_jacobian
+
+    def counting(*args):
+        calls.append(1)
+        return jacobian(*args)
+
+    monkeypatch.setattr(estimate, "param_jacobian", counting)
+    hub = huber_loss(1.25)
+    run_replications(McConfig(
+        example="ex51", n_list=[50], reps=2, losses=[hub], laws=[ErrorLaw.NORMAL],
+        base_seed=3, fit_options=FitOptions(loss=hub), threads=1,
+    ))
+    rng = np.random.default_rng(2)
+    Z = rng.standard_normal((36, 2))
+    table = {"y": Z @ [1.0, -0.5] + 0.3 * rng.standard_normal(36),
+             "z1": Z[:, 0], "z2": Z[:, 1]}
+    run_forecast(table, ForecastConfig(
+        window=30, loss=hub, model=ModelSpec((), (IDENTITY,), 1, 2),
+        x_cols=[], z_cols=["z1", "z2"], y_col="y",
+    ), threads=1)
+    assert calls == []
 
 
 def test_monte_carlo_opens_one_pool(pools):

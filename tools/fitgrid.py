@@ -13,10 +13,12 @@ errors recentred at tau for the quantile loss.
 
 ``dump`` fits the grid with the ``mollifit`` on the import path and writes
 every ``FitResult`` field of every fit (``params`` packed, the descent trace
-recorded), or, for a fit that raises, its error type and message.  With
-``--batched`` it fits through ``fit_many``, one call per (example, loss,
-protocol) over all n and seeds, so the datasets of a call have mixed n;
-these arrays must equal the serial dump's.  A second pass (keys
+recorded) and every field of its ``infer`` (``a1_hat``, ``a2_hat``,
+``sigma_hat``, ``stat_cov``), or, for a fit or an inference that raises,
+its error type and message.  With ``--batched`` it fits through
+``fit_many``, one call per (example, loss, protocol) over all n and seeds,
+so the datasets of a call have mixed n; these arrays must equal the
+serial dump's.  A second pass (keys
 ``cross-...``) repeats the truth-anchored calls at one job per lockstep
 group, each dataset led by a zero-noise one on other regressors, so that
 consecutive groups open at the same dataset number and iterate; each of
@@ -39,9 +41,12 @@ two of the workload's panels of each seed.  It then runs the commands that
 reach the two root-finds: ``simulate`` and a small ``mc`` with
 mixed-normal errors and the quantile loss (the mixed-normal quantile), and
 ``forecast --loss huber:1.25`` on seed 1's first panel (the Huber location).
-It writes the panels, the simulated data, the ``mc`` CSVs, the forecast
-reports and error dumps and every sidecar into OUT_DIR.  ``compare`` of
-two such directories prints, for each, the failed replications of its
+Last come three ``fit`` commands on simulated n = 200 data: ex51 with
+``huber:1.25``, ex52 with ``lad``, and a config model with no stationary
+block on the ex51 data.  It writes the panels, the simulated data, the
+``mc`` CSVs, the forecast reports and error dumps, the ``fit`` JSON files
+and config, and every sidecar into OUT_DIR.  ``compare`` of two such
+directories prints, for each, the failed replications of its
 ``mc`` tables and the fallback windows of its forecast reports, counted as
 the benchmark counts them; it lists each file that is in one only or whose
 bytes differ, and exits 1 if there is any.
@@ -52,6 +57,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -124,58 +130,67 @@ def cross_group_calls(calls):
         yield model, opts, led
 
 
-def fit_or_error(fit, *args):
+def call_or_error(fn, *args):
     from mollifit.exceptions import MollifitError
 
     try:
-        return fit(*args)
+        return fn(*args)
     except MollifitError as err:
         return err
 
 
 def dump(path: str, batched: bool = False, bench: bool = False) -> int:
     from mollifit import estimate
-    from mollifit.estimate import fit, fit_many
+    from mollifit.estimate import fit, fit_many, infer
     from mollifit.model import ParamLayout
 
+    # key -> (model, data, loss, FitResult or error)
     results = {}
+
+    def add_many(model, opts, keyed):
+        keys, datasets = zip(*keyed)
+        for key, data, res in zip(keys, datasets, fit_many(model, datasets, opts)):
+            results[key] = model, data, opts.loss, res
+
     if bench:
         workloads = bench_workloads()
         for name in BENCH_WORKLOADS:
             spec = workloads.FIT_WORKLOADS[name]
             for seed in BENCH_SEEDS:
                 for item in workloads.first_pass(spec, seed):
-                    res = fit_or_error(workloads.fit_one, spec, item)
-                    results[f"{name}-s{seed}-{item.key}"] = item.model, res
+                    res = call_or_error(workloads.fit_one, spec, item)
+                    loss = workloads.LOSSES[item.loss]
+                    results[f"{name}-s{seed}-{item.key}"] = item.model, item.data, loss, res
     elif batched:
         calls = {}
         for key, model, data, opts in grid():
             example, *_, loss, protocol = key.split("-")
             calls.setdefault((example, loss, protocol), (model, opts, []))[2].append((key, data))
-        for model, opts, keyed in calls.values():
-            keys, datasets = zip(*keyed)
-            results.update(zip(keys, ((model, r) for r in fit_many(model, datasets, opts))))
+        for call in calls.values():
+            add_many(*call)
         budget = estimate._BLOCK_ELEMENTS
         estimate._BLOCK_ELEMENTS = min(NS)  # one job per lockstep group
         try:
-            for model, opts, keyed in cross_group_calls(calls):
-                keys, datasets = zip(*keyed)
-                results.update(zip(keys, ((model, r) for r in fit_many(model, datasets, opts))))
+            for call in cross_group_calls(calls):
+                add_many(*call)
         finally:
             estimate._BLOCK_ELEMENTS = budget
     else:
         for key, model, data, opts in grid():
-            results[key] = model, fit_or_error(fit, model, data, opts)
+            results[key] = model, data, opts.loss, call_or_error(fit, model, data, opts)
     arrays = {}
-    for key, (model, res) in results.items():
-        if isinstance(res, Exception):
-            arrays[f"{key}/error"] = np.array(f"{type(res).__name__}: {res}")
+    for key, (model, data, loss, res) in results.items():
+        # A fit whose inference raises is dumped as that error.
+        inference = res if isinstance(res, Exception) else call_or_error(infer, model, data, res, loss)
+        if isinstance(inference, Exception):
+            arrays[f"{key}/error"] = np.array(f"{type(inference).__name__}: {inference}")
             continue
-        for f in dataclasses.fields(res):
-            value = getattr(res, f.name)
-            if f.name == "params":
-                value = ParamLayout(model).pack(value)
-            arrays[f"{key}/{f.name}"] = np.array("None") if value is None else np.asarray(value)
+        for part in (res, inference):
+            for f in dataclasses.fields(part):
+                value = getattr(part, f.name)
+                if f.name == "params":
+                    value = ParamLayout(model).pack(value)
+                arrays[f"{key}/{f.name}"] = np.array("None") if value is None else np.asarray(value)
     np.savez(path, **arrays)
     print(f"{len(arrays)} arrays from {len(results)} fits -> {path}")
     return 0
@@ -213,6 +228,21 @@ def cli(out_dir: str) -> int:
          "--threads", "1", "--out", str(out / "forecast-huber.csv"),
          "--dump", str(out / "forecast-huber.csv.dump")],
     ]
+    # fit writes the inference of infer into its JSON.
+    nostat = out / "fit-nostat-config.json"
+    nostat.write_text(json.dumps({"model": {
+        "nonstat_links": ["identity", "power:2"], "stat_links": [], "d1": 2, "d2": 2,
+    }}))
+    for example in ("ex51", "ex52"):
+        argvs.append(["simulate", "--seed", "1", "--example", example, "--n", "200",
+                      "--law", "normal", "--out", str(out / f"simulate-{example}.csv")])
+    for name, example, model, loss in (
+        ("fit-ex51-huber", "ex51", ["--example-model", "ex51"], "huber:1.25"),
+        ("fit-ex52-lad", "ex52", ["--example-model", "ex52"], "lad"),
+        ("fit-nostat-lad", "ex51", ["--config", str(nostat)], "lad"),
+    ):
+        argvs.append(["fit", "--data", str(out / f"simulate-{example}.csv"), *model,
+                      "--loss", loss, "--out", str(out / f"{name}.json")])
     failed += [" ".join(argv) for argv in argvs if mollifit(argv) != 0]
     print(f"{len(list(out.iterdir()))} files -> {out}")
     for argv in failed:
