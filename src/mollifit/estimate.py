@@ -80,7 +80,6 @@ from .model import (
     ParamVector,
     _unitize,
     link_value,
-    packed_jacobian,
     packed_mean,
     packed_normalize,
     param_jacobian,
@@ -229,10 +228,13 @@ def estimate_sigma(model: ModelSpec, params: ParamVector, data: Dataset) -> np.n
     """
     if model.p2 == 0:
         raise EmptyBlockError("model has no stationary block")
-    J = param_jacobian(model, params, data)
+    validate_params(model, params)
+    layout = ParamLayout(model)
+    layout.check_widths(data.X, data.Z)
+    J = param_jacobian(layout, layout.pack(params), data.X, data.Z)
     # A contiguous copy: the product then runs the same kernel as on a
     # freshly built design, whatever the column offset.
-    J_s = np.ascontiguousarray(J[:, ParamLayout(model).gamma1_slice.stop :])
+    J_s = np.ascontiguousarray(J[:, layout.gamma1_slice.stop :])
     return J_s.T @ J_s / data.n
 
 
@@ -609,13 +611,13 @@ def _newton_steps(layout, opts, engine, regs, requests, names, work, held):
     # J depends only on the datasets and the iterates: a step at a new
     # smoothing order, or from an iterate that did not move, finds its
     # block in place.  Iterates compare by their bytes, so a reused block
-    # is the one packed_jacobian would write.
+    # is the one param_jacobian would write.
     key = rows, F.tobytes()
     if key == held[0]:
         J = work[0][: len(requests)]
     else:
         _, X, Z = regs.take(np.array(rows))
-        J = packed_jacobian(layout, F, X, Z, out=work[0][: len(requests)])
+        J = param_jacobian(layout, F, X, Z, out=work[0][: len(requests)])
         held[0] = key
     g = np.matmul(J.transpose(0, 2, 1), scores[..., None])[..., 0]
     JW = np.multiply(J, weights[..., None], out=work[1][: len(requests)])

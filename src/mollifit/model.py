@@ -373,12 +373,16 @@ def packed_mean(layout: ParamLayout, flat: np.ndarray, X, Z) -> np.ndarray:
     return out if flat.ndim > 1 else out[0]
 
 
-def packed_jacobian(layout: ParamLayout, flat: np.ndarray, X, Z, out=None) -> np.ndarray:
+def param_jacobian(layout: ParamLayout, flat: np.ndarray, X, Z, out=None) -> np.ndarray:
     """Row-wise derivative of :func:`packed_mean` in the packed parameters.
 
     A (rows, P) block gives (rows, n, P) Jacobians and one 1-D vector an
     (n, P) Jacobian; X and Z are shared or per-row as there.  A (rows, n, P)
-    ``out`` is overwritten and returned in place of a new array.
+    ``out`` is overwritten and returned in place of a new array.  Column
+    order matches ParamLayout: for each nonstationary index block
+    ``gamma_j * g_j'(x' theta_j) * x'`` (summed over the block's links when
+    the index is shared), then the link values for gamma1, then the same
+    for the stationary block.
     """
     F = _rows(flat)
     if out is None:
@@ -414,20 +418,6 @@ def regression_mean(model: ModelSpec, params: ParamVector, x, z):
 def residuals(model: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
     """e_t = y_t - regression mean at row t."""
     return data.y - regression_mean(model, params, data.X, data.Z)
-
-
-def param_jacobian(model: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
-    """Row-wise derivative of the regression mean in the packed parameters.
-
-    Column order matches ParamLayout: for each nonstationary index block
-    ``gamma_j * g_j'(x' theta_j) * x'`` (summed over the block's links when
-    the index is shared), then the link values for gamma1, then the same
-    for the stationary block.
-    """
-    validate_params(model, params)
-    layout = ParamLayout(model)
-    layout.check_widths(data.X, data.Z)
-    return packed_jacobian(layout, layout.pack(params), data.X, data.Z)
 
 
 def _unitize(V: np.ndarray):

@@ -12,13 +12,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 # Chunks per worker, shared out over the runs of equal key: enough that the
 # last chunk leaves little idle time, few enough that a chunk's fits share
-# large lockstep batches.  At 2 workers, 3 gives the bench cli-batch mc one
-# chunk per (loss, n), 6 of 48 fits, and its forecast two per level, 6 of
-# 30 windows.  On that workload (seed 1, 4 rotating rounds of 30 s on 2
-# shared cores) keyed chunks gave median items_per_s of 481, 475 and 473
-# at 1, 3 and 4 chunks per worker, within the 8% spread of one setting's
-# runs.
-CHUNKS_PER_WORKER = 3
+# large lockstep batches.  On the bench cli-batch workload (2 workers,
+# unkeyed chunks) 4 gave the best throughput of 16, 8, 4 and 2; with keyed
+# chunks 1, 3 and 4 were within the spread of one setting's runs.
+CHUNKS_PER_WORKER = 4
 
 
 def parallel_map(fn, items, workers: int, key=None) -> list:

@@ -249,14 +249,17 @@ def test_estimate_sigma_examples():
     # Sigma-hat is the second moment of the stationary Jacobian columns,
     # index part included with its own sign: the theta1-gamma entry is
     # mean(z1^2), not its negative.
-    J_s = param_jacobian(ms, pv, data)
+    layout = ParamLayout(ms)
+    J_s = param_jacobian(layout, layout.pack(pv), data.X, data.Z)
     np.testing.assert_allclose(S, J_s.T @ J_s / n, rtol=1e-12, atol=0)
     assert S[0, 2] == pytest.approx(np.mean(Z[:, 0] ** 2), rel=1e-12)
     assert S[0, 2] > 0
     # With a nonstationary block in front, J_s is the trailing theta2..gamma2
     # columns of the full Jacobian.
     ex, ms51, truth = gen_example("ex51", 200, ErrorLaw.NORMAL, rng_for(3, 0))
-    J_s = param_jacobian(ms51, truth, ex)[:, ParamLayout(ms51).theta2_slices[0].start :]
+    layout51 = ParamLayout(ms51)
+    J = param_jacobian(layout51, layout51.pack(truth), ex.X, ex.Z)
+    J_s = J[:, layout51.theta2_slices[0].start :]
     np.testing.assert_allclose(
         estimate_sigma(ms51, truth, ex), J_s.T @ J_s / ex.n, rtol=1e-12, atol=1e-15
     )
@@ -502,7 +505,7 @@ def test_a_step_at_the_iterates_of_the_last_jacobian_reuses_it(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(estimate, "_BLOCK_ELEMENTS", data.n)
-    monkeypatch.setattr(estimate, "packed_jacobian", counted("blocks", estimate.packed_jacobian))
+    monkeypatch.setattr(estimate, "param_jacobian", counted("blocks", estimate.param_jacobian))
     monkeypatch.setattr(estimate, "_newton_steps", counted("rounds", estimate._newton_steps))
     fit(spec, data, opts)
     assert 0 < counts["blocks"] < counts["rounds"]

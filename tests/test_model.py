@@ -24,7 +24,6 @@ from mollifit.model import (
     link_deriv,
     link_value,
     normalize,
-    packed_jacobian,
     packed_mean,
     packed_normalize,
     param_jacobian,
@@ -137,7 +136,8 @@ def test_param_jacobian_examples():
     pv = ParamVector([np.array([0.6, 0.8])], [1.0], [np.array([1.0, 0.0])], [1.0])
     rng = np.random.default_rng(2)
     data = Dataset(rng.standard_normal(5), rng.standard_normal((5, 2)), rng.standard_normal((5, 2)))
-    J = param_jacobian(ms, pv, data)
+    layout = ParamLayout(ms)
+    J = param_jacobian(layout, layout.pack(pv), data.X, data.Z)
     np.testing.assert_allclose(J[:, 0:2], data.X)
     np.testing.assert_allclose(J[:, 2], data.X @ pv.theta1[0])
     np.testing.assert_allclose(J[:, 3:5], data.Z)
@@ -146,7 +146,8 @@ def test_param_jacobian_examples():
     ms2 = ModelSpec((GAUSS_PDF,), (), 2, 1, share_theta1=True)
     pv2 = ParamVector([np.array([1.0, 0.0])], [2.0], [], [])
     d2 = Dataset(np.zeros(3), np.column_stack([np.zeros(3), np.arange(3.0)]), np.zeros((3, 1)))
-    J2 = param_jacobian(ms2, pv2, d2)
+    layout2 = ParamLayout(ms2)
+    J2 = param_jacobian(layout2, layout2.pack(pv2), d2.X, d2.Z)
     np.testing.assert_allclose(J2[:, 0:2], 0.0, atol=1e-15)
 
 
@@ -165,7 +166,7 @@ def test_param_jacobian_matches_finite_differences():
             rng.standard_normal((9, ms.d1)),
             rng.standard_normal((9, ms.d2)),
         )
-        J = param_jacobian(ms, pv, data)
+        J = param_jacobian(layout, layout.pack(pv), data.X, data.Z)
         Jfd = _fd_jacobian(ms, layout, pv, data)
         assert np.max(np.abs(J - Jfd) / (1.0 + np.abs(Jfd))) < 1e-5
 
@@ -278,18 +279,18 @@ def test_block_kernels_equal_their_rows_bitwise():
         Z = rng.standard_normal((n, 3))
         F = rng.standard_normal((rows, layout.size)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
         M = packed_mean(layout, F, X, Z)
-        J = packed_jacobian(layout, F, X, Z)
+        J = param_jacobian(layout, F, X, Z)
         G = F.copy()
         assert packed_normalize(layout, G).all()
         assert M.shape == (rows, n) and J.shape == (rows, n, layout.size)
         out = np.full(J.shape, np.nan)
-        assert packed_jacobian(layout, F, X, Z, out=out) is out
+        assert param_jacobian(layout, F, X, Z, out=out) is out
         np.testing.assert_array_equal(out, J)
         for r in range(rows):
             np.testing.assert_array_equal(M[r], _serial_mean(layout, F[r], X, Z))
             np.testing.assert_array_equal(M[r], packed_mean(layout, F[r], X, Z))
             np.testing.assert_array_equal(J[r], _serial_jacobian(layout, F[r], X, Z))
-            np.testing.assert_array_equal(J[r], packed_jacobian(layout, F[r], X, Z))
+            np.testing.assert_array_equal(J[r], param_jacobian(layout, F[r], X, Z))
             np.testing.assert_array_equal(G[r], _serial_normalize(layout, F[r]))
             one = F[r].copy()
             assert packed_normalize(layout, one).shape == (1,)
@@ -299,11 +300,11 @@ def test_block_kernels_equal_their_rows_bitwise():
         Xs = np.cumsum(rng.standard_normal((rows, n, 2)), axis=1)
         Zs = rng.standard_normal((rows, n, 3))
         M3 = packed_mean(layout, F, Xs, Zs)
-        J3 = packed_jacobian(layout, F, Xs, Zs)
+        J3 = param_jacobian(layout, F, Xs, Zs)
         assert M3.shape == (rows, n) and J3.shape == (rows, n, layout.size)
         for r in range(rows):
             np.testing.assert_array_equal(M3[r], packed_mean(layout, F[r], Xs[r], Zs[r]))
-            np.testing.assert_array_equal(J3[r], packed_jacobian(layout, F[r], Xs[r], Zs[r]))
+            np.testing.assert_array_equal(J3[r], param_jacobian(layout, F[r], Xs[r], Zs[r]))
 
 
 def test_block_normalize_flags_degenerate_rows_only():

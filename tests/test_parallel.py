@@ -85,13 +85,16 @@ def test_parallel_map_cuts_chunks_within_runs_of_equal_key(pools, workers):
     parts = math.ceil(workers * parallel.CHUNKS_PER_WORKER / len(lengths))
     for run, n in enumerate(lengths):
         mine = [size for first, size in chunks if first[0] == run]
-        assert len(mine) == parts
-        assert mine[:-1] == [math.ceil(n / parts)] * (parts - 1)
+        # Chunks of ceil(n / parts) items, the last one fewer: a short run
+        # can come out in fewer than parts chunks.
+        size = math.ceil(n / parts)
+        assert len(mine) == math.ceil(n / size) <= parts
+        assert mine[:-1] == [size] * (len(mine) - 1)
         assert sum(mine) == n
 
 
 def test_monte_carlo_fits_both_laws_of_a_chunk_in_one_call(serial_pool, monkeypatch):
-    # 2 losses x 3 sample sizes are 6 runs, as many as 2 workers' chunks,
+    # 2 losses x 4 sample sizes are 8 runs, as many as 2 workers' chunks,
     # so each chunk is one (loss, n) with the replications of both laws.
     law_of = {}
     calls = []
@@ -110,26 +113,31 @@ def test_monte_carlo_fits_both_laws_of_a_chunk_in_one_call(serial_pool, monkeypa
     monkeypatch.setattr(montecarlo, "fit_many", recording_fit_many)
     hub = huber_loss(1.25)
     config = McConfig(
-        example="ex51", n_list=[50, 60, 70], reps=2, losses=[hub, LAD],
+        example="ex51", n_list=[50, 60, 70, 80], reps=2, losses=[hub, LAD],
         laws=[ErrorLaw.NORMAL, ErrorLaw.T2], base_seed=3,
         fit_options=FitOptions(loss=hub), threads=2,
     )
     run_replications(config)
     both = [ErrorLaw.NORMAL] * 2 + [ErrorLaw.T2] * 2
-    assert calls == [(loss, [n] * 4, both) for loss in (hub, LAD) for n in (50, 60, 70)]
+    assert calls == [(loss, [n] * 4, both) for loss in (hub, LAD) for n in (50, 60, 70, 80)]
 
 
 def test_harnesses_compute_no_inference(monkeypatch):
-    # The inference's Sigma-hat is the only caller of param_jacobian; the
-    # optimizer builds its Jacobians with packed_jacobian.
+    # Every inference estimates a1, and Sigma-hat for a stationary block;
+    # the optimizer calls neither.
     calls = []
-    jacobian = estimate.param_jacobian
 
-    def counting(*args):
-        calls.append(1)
-        return jacobian(*args)
+    def counted(name):
+        inner = getattr(estimate, name)
 
-    monkeypatch.setattr(estimate, "param_jacobian", counting)
+        def wrapper(*args):
+            calls.append(name)
+            return inner(*args)
+
+        monkeypatch.setattr(estimate, name, wrapper)
+
+    counted("estimate_a1")
+    counted("estimate_sigma")
     hub = huber_loss(1.25)
     run_replications(McConfig(
         example="ex51", n_list=[50], reps=2, losses=[hub], laws=[ErrorLaw.NORMAL],
