@@ -595,8 +595,9 @@ def _newton_steps(layout, opts, engine, regs, requests, names, work, held):
     The scores, weights and subgradients of all requests come from one
     (S, n) residual block, the Jacobians from one (S, n, P) block, then
     stacked products and one batched solve; each stacked product rounds as
-    its one-start form.  The Jacobian and its weighted copy are written into
-    the two (>= S, n, P) arrays of ``work``.  ``held[0]`` keys the Jacobian
+    its one-start form.  The Jacobian is written into ``work[0]``, through a
+    column scratch in ``work[1]`` that its weighted copy then overwrites;
+    both are (>= S, n, P) arrays.  ``held[0]`` keys the Jacobian
     block in ``work[0]`` by its rows' datasets and iterates; a round that
     asks for exactly those rows, in that order, uses the block as it is.
     Per request: ``(step, max|step|, fallback)``, or the solver's error;
@@ -617,7 +618,8 @@ def _newton_steps(layout, opts, engine, regs, requests, names, work, held):
         J = work[0][: len(requests)]
     else:
         _, X, Z = regs.take(np.array(rows))
-        J = param_jacobian(layout, F, X, Z, out=work[0][: len(requests)])
+        scratch = work[1][: len(requests)].reshape(len(requests), layout.size, -1)
+        J = param_jacobian(layout, F, X, Z, out=work[0][: len(requests)], scratch=scratch)
         held[0] = key
     g = np.matmul(J.transpose(0, 2, 1), scores[..., None])[..., 0]
     JW = np.multiply(J, weights[..., None], out=work[1][: len(requests)])

@@ -44,6 +44,11 @@ class ForecastConfig:
         cols = [self.y_col] + list(self.x_cols) + list(self.z_cols)
         if len(set(cols)) != len(cols):
             raise ConfigurationError("y/x/z column names must be disjoint")
+        # A repeated level would fit every window again for the same row.
+        levels = self.quantile_levels or []
+        if len(set(levels)) < len(levels):
+            raise ConfigurationError(
+                f"quantile levels must be distinct, got {', '.join(map(str, levels))}")
 
 
 @dataclass

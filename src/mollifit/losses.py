@@ -13,6 +13,21 @@ their arguments, so they are safe to call from any number of threads.  The
 smoothed loss and its derivatives also take an array of orders ``m`` that
 broadcasts against ``u``, such as a (rows, 1) column for a (rows, n) block;
 each element then rounds as in a call with its own scalar order.
+
+In double precision the special functions of the closed forms saturate:
+``erf(x)`` is exactly +-1 from |x| >= 5.9216, ``ndtr(x)`` exactly 1 from
+x >= 8.2924 and exactly 0 at and below x = -37.6772.  At the large orders of
+a fit (m = n^(2+eps)) nearly every residual lies beyond the kink window
+where they vary, so each ``erf``/``ndtr`` call goes through
+:func:`_saturated`: it evaluates the function only on the elements strictly
+inside the window (-6.5, 6.5) for ``erf`` and (-38.5, 8.5) for ``ndtr`` and
+writes the exact constant elsewhere, bitwise what the full call returns.
+When the window holds more than half the elements, the gather would cost
+more than it saves, and the function runs on the whole array.  The inside
+test is ``~((x <= lo) | (x >= hi))``, so NaN still goes through the
+function.  It gathers and scatters instead of passing ``where=`` to the
+SciPy ufunc, because ``erf(x, out=o, where=w)`` in a loop crashed the
+interpreter with a segmentation fault.
 """
 
 from __future__ import annotations
@@ -33,6 +48,12 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Exponents below this are flushed to exactly zero instead of producing
 # denormals (relevant for the huge smoothing orders used at large n).
 _EXP_FLUSH = -700.0
+
+# Window edges of the special functions, a margin past where they saturate
+# in double precision (see the module docstring): (lo, hi, value at and
+# below lo, value at and above hi).
+_ERF_WINDOW = (-6.5, 6.5, -1.0, 1.0)
+_NDTR_WINDOW = (-38.5, 8.5, 0.0, 1.0)
 
 
 class LossKind(enum.Enum):
@@ -117,7 +138,13 @@ class MollifierOrder:
         """Sample-size rule m = floor(n^(2+epsilon)), epsilon > 0."""
         if not epsilon > 0.0:
             raise ConfigurationError("epsilon must be positive")
-        return MollifierOrder(float(math.floor(n ** (2.0 + epsilon))))
+        try:
+            m = float(math.floor(n ** (2.0 + epsilon)))
+        except OverflowError:
+            raise ConfigurationError(
+                f"mollifier order n^(2+epsilon) overflows at n={n}, epsilon={epsilon!r}"
+            ) from None
+        return MollifierOrder(m)
 
 
 def _as_m(m):
@@ -137,6 +164,37 @@ def _gexp(z):
     out = np.exp(np.maximum(z, _EXP_FLUSH))
     out = np.where(z < _EXP_FLUSH, 0.0, out)
     return out
+
+
+def _saturated(fn, x, window):
+    """``fn(x)``, calling ``fn`` only on the elements inside ``window``.
+
+    ``window`` is ``(lo, hi, below, above)``: ``fn`` equals ``below`` at and
+    below ``lo`` and ``above`` at and above ``hi``.
+    """
+    lo, hi, below, above = window
+    x = np.asarray(x, dtype=float)
+    # NaN compares false both ways, so it counts as inside.
+    inside = ~((x <= lo) | (x >= hi))
+    count = np.count_nonzero(inside)
+    if 2 * count > x.size:
+        return fn(x)
+    # Exact for the small integer constants of the windows, and branch-free:
+    # np.where(x >= hi, above, below) mispredicts on a mixed-sign x and
+    # costs more than the call it saves.
+    out = (x >= hi) * (above - below) + below
+    if count:
+        # Not fn(x, out=out, where=inside): see the module docstring.
+        out[inside] = fn(x[inside])
+    return out
+
+
+def _erf(x):
+    return _saturated(erf, x, _ERF_WINDOW)
+
+
+def _ndtr(x):
+    return _saturated(ndtr, x, _NDTR_WINDOW)
 
 
 def _phi(t):
@@ -191,7 +249,7 @@ def _require_lipschitz(spec: LossSpec, what: str):
 def _lad_eval(m, u):
     # E|u + N(0, 1/(2m))| = u*erf(sqrt(m) u) + exp(-m u^2)/sqrt(pi m)
     sm = np.sqrt(m)
-    return u * erf(sm * u) + _gexp(-m * u * u) / (_SQRT_PI * sm)
+    return u * _erf(sm * u) + _gexp(-m * u * u) / (_SQRT_PI * sm)
 
 
 def mollified_eval(spec: LossSpec, m, u):
@@ -211,8 +269,8 @@ def mollified_eval(spec: LossSpec, m, u):
         a = (c - u) / s
         b = (c + u) / s
         # E[((Z - t)_+)^2] for standard normal Z.
-        tail_a = (1.0 + a * a) * ndtr(-a) - a * _phi(a)
-        tail_b = (1.0 + b * b) * ndtr(-b) - b * _phi(b)
+        tail_a = (1.0 + a * a) * _ndtr(-a) - a * _phi(a)
+        tail_b = (1.0 + b * b) * _ndtr(-b) - b * _phi(b)
         out = 0.5 * (u * u + s2) - 0.5 * s2 * (tail_a + tail_b)
     return out if out.ndim else float(out)
 
@@ -223,16 +281,16 @@ def mollified_grad(spec: LossSpec, m, u):
     m = _as_m(m)
     u = np.asarray(u, dtype=float)
     if spec.kind is LossKind.LAD:
-        out = erf(np.sqrt(m) * u)
+        out = _erf(np.sqrt(m) * u)
     elif spec.kind is LossKind.QUANTILE:
-        out = (spec.param - 0.5) + 0.5 * erf(np.sqrt(m) * u)
+        out = (spec.param - 0.5) + 0.5 * _erf(np.sqrt(m) * u)
     else:
         c = spec.param
         s = np.sqrt(0.5 / m)
         a = (c - u) / s
         b = (c + u) / s
         # E[clip(u + s Z, -c, c)] via the two one-sided censored means.
-        out = u - s * (_phi(a) - a * ndtr(-a)) + s * (_phi(b) - b * ndtr(-b))
+        out = u - s * (_phi(a) - a * _ndtr(-a)) + s * (_phi(b) - b * _ndtr(-b))
     return out if out.ndim else float(out)
 
 
@@ -248,7 +306,7 @@ def mollified_hess(spec: LossSpec, m, u):
     else:
         c = spec.param
         s = np.sqrt(0.5 / m)
-        out = ndtr((c - u) / s) + ndtr((c + u) / s) - 1.0
+        out = _ndtr((c - u) / s) + _ndtr((c + u) / s) - 1.0
     return out if out.ndim else float(out)
 
 

@@ -368,12 +368,14 @@ def packed_mean(layout: ParamLayout, flat: np.ndarray, X, Z) -> np.ndarray:
     F = _rows(flat)
     out = np.zeros((F.shape[0], max(X.shape[-2], Z.shape[-2])))
     for t in layout.terms:
-        u = _index(Z if t.stationary else X, F, t.theta)
-        out += F[:, t.gamma, None] * link_value(t.link, u)
+        # In place: u and the link values are fresh arrays of this call.
+        v = link_value(t.link, _index(Z if t.stationary else X, F, t.theta))
+        v *= F[:, t.gamma, None]
+        out += v
     return out if flat.ndim > 1 else out[0]
 
 
-def param_jacobian(layout: ParamLayout, flat: np.ndarray, X, Z, out=None) -> np.ndarray:
+def param_jacobian(layout: ParamLayout, flat: np.ndarray, X, Z, out=None, scratch=None) -> np.ndarray:
     """Row-wise derivative of :func:`packed_mean` in the packed parameters.
 
     A (rows, P) block gives (rows, n, P) Jacobians and one 1-D vector an
@@ -383,21 +385,34 @@ def param_jacobian(layout: ParamLayout, flat: np.ndarray, X, Z, out=None) -> np.
     ``gamma_j * g_j'(x' theta_j) * x'`` (summed over the block's links when
     the index is shared), then the link values for gamma1, then the same
     for the stationary block.
+
+    The columns are built in a C-contiguous (rows, P, n) array, one long
+    contiguous loop each, then copied transposed into the result in one
+    pass.  ``scratch`` is that array, overwritten; without it one is
+    allocated.  The result keeps its (rows, n, P) layout: products with J
+    round as they do on that layout.
     """
     F = _rows(flat)
-    if out is None:
-        J = np.zeros((F.shape[0], X.shape[-2], layout.size))
-    else:
-        J = out
-        J.fill(0.0)
-    for t in layout.terms:
-        A = Z if t.stationary else X
-        u = _index(A, F, t.theta)
-        slope = F[:, t.gamma, None] * link_deriv(t.link, u)
-        # Column by column: one long strided loop each, not n short ones.
-        for j, col in enumerate(range(t.theta.start, t.theta.stop)):
-            J[:, :, col] += slope * A[..., j]
-        J[:, :, t.gamma] = link_value(t.link, u)
+    shape = (F.shape[0], layout.size, X.shape[-2])
+    C = np.empty(shape) if scratch is None else scratch
+    # Every column is written: an index column by the first term of its
+    # block, a coefficient column by its term.
+    for _, terms in layout.index_blocks:
+        for i, t in enumerate(terms):
+            A = Z if t.stationary else X
+            u = _index(A, F, t.theta)
+            slope = F[:, t.gamma, None] * link_deriv(t.link, u)
+            for j, col in enumerate(range(t.theta.start, t.theta.stop)):
+                if i:
+                    C[:, col] += slope * A[..., j]
+                else:
+                    # x + 0.0 rounds as 0.0 + x into a zeroed column: -0.0
+                    # becomes 0.0.
+                    np.multiply(slope, A[..., j], out=C[:, col])
+                    C[:, col] += 0.0
+            C[:, t.gamma] = link_value(t.link, u)
+    J = np.empty((shape[0], shape[2], shape[1])) if out is None else out
+    J[...] = C.transpose(0, 2, 1)
     return J if flat.ndim > 1 else J[0]
 
 

@@ -214,6 +214,22 @@ def test_fit_cli_rejects_an_option_that_breaks_the_fit(tmp_path, capsys, name, v
     assert f"{name} must be finite" in capsys.readouterr().err
 
 
+def test_fit_cli_rejects_an_overflowing_smoothing_order(tmp_path, capsys):
+    # n ** (2 + m_epsilon) overflowed, and fit died with a traceback.
+    data = tmp_path / "d.csv"
+    assert run(["simulate", "--example", "ex51", "--n", "200", "--seed", "3",
+                "--out", str(data)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fit": {"m_epsilon": 200}}))
+    capsys.readouterr()
+    out = tmp_path / "r.json"
+    code = run(["fit", "--data", str(data), "--example-model", "ex51",
+                "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "mollifier order n^(2+epsilon) overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rejects_an_infinite_huber_threshold_or_order(tmp_path, capsys):
     # Each used to run: fit stopped on a singular-matrix error, mc wrote an
     # all-NaN table and loss-probe a NaN curvature column.
@@ -245,6 +261,26 @@ def test_forecast_rejects_a_repeated_column_name(tmp_path, capsys):
     assert run(["forecast", "--data", str(data), "--window", "40", "--loss", "se",
                 "--x-cols", "x", "--out", str(tmp_path / "r.csv")]) == 2
     assert "repeated column name(s) in table header: x" in capsys.readouterr().err
+
+
+def test_forecast_rejects_repeated_quantile_levels(tmp_path, capsys, monkeypatch):
+    # Each repeat of a level fitted every window again and wrote its row again.
+    def no_run(*args, **kwargs):
+        raise AssertionError("the forecast ran")
+
+    monkeypatch.setattr("mollifit.cli.run_forecast", no_run)
+    rng = np.random.default_rng(8)
+    Z = rng.standard_normal((50, 2))
+    y = Z @ np.array([2.0, 1.0]) + 0.1 * rng.standard_normal(50)
+    data = tmp_path / "panel.csv"
+    data.write_text("y,z1,z2\n" + "".join(f"{y[i]!r},{Z[i, 0]!r},{Z[i, 1]!r}\n" for i in range(50)))
+    capsys.readouterr()
+    out = tmp_path / "r.csv"
+    code = run(["forecast", "--data", str(data), "--window", "30", "--loss", "quantile:0.5",
+                "--z-cols", "z1,z2", "--quantiles", "0.25,0.5,0.5", "--out", str(out)])
+    assert code == 2
+    assert "quantile levels must be distinct, got 0.25, 0.5, 0.5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_cli_dimension_mismatch(tmp_path):

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, ndtr
 
+from mollifit import losses
 from mollifit.cli import parse_loss
 from mollifit.exceptions import ConfigurationError, UnsupportedLossError
 from mollifit.losses import (
@@ -235,6 +236,101 @@ def test_mollifier_order_from_sample_size():
     assert MollifierOrder.from_sample_size(10, epsilon=1.0).m == 1000.0
     with pytest.raises(ConfigurationError):
         MollifierOrder.from_sample_size(100, epsilon=0.0)
+
+
+@pytest.mark.parametrize("epsilon", [200.0, math.inf])
+def test_mollifier_order_overflow_is_a_configuration_error(epsilon):
+    # n ** (2 + epsilon) used to let OverflowError escape.
+    with pytest.raises(ConfigurationError, match="overflows"):
+        MollifierOrder.from_sample_size(200, epsilon=epsilon)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("fn, window, onsets", [
+    (erf, losses._ERF_WINDOW, (5.9216, 5.9216)),
+    (ndtr, losses._NDTR_WINDOW, (37.6772, 8.2924)),
+])
+def test_special_function_windows_hold_the_saturated_values(fn, window, onsets):
+    # On a dense grid out to |x| = 60: each function is exactly the window's
+    # constant (sign of zero included) at and past the window's edges, and
+    # it saturates for good within 1e-3 below the pinned onset |x|, which
+    # lies inside the window.
+    lo, hi, below, above = window
+    x = np.linspace(0.0, 60.0, 1_200_001)
+    for side, const, edge, onset in ((-x, below, lo, onsets[0]), (x, above, hi, onsets[1])):
+        y = fn(side)
+        out = np.abs(side) >= abs(edge)
+        assert _bits(y[out]) == _bits(np.full(np.count_nonzero(out), const))
+        last_moving = np.abs(side[y != const]).max()
+        assert onset - 1e-3 < last_moving < onset < abs(edge)
+    assert math.isnan(fn(math.nan))
+
+
+def _window_off(fn, x, window):
+    return fn(x)
+
+
+def _kernel_blocks():
+    """(spec, m, u) whose kink windows are empty, partial and whole."""
+    rng = np.random.default_rng(11)
+    for spec in KINK_LOSSES:
+        kinks = np.array(losses._kink_points(spec))
+        near = rng.choice(kinks, (3, 400))
+        # Whole: wide smoothing around the kinks.
+        yield spec, 1.0, near + rng.uniform(-0.5, 0.5, near.shape)
+        # Partial, under half: about a third of the arguments inside.
+        yield spec, 1e6, near + rng.uniform(-0.02, 0.02, near.shape)
+        # Empty: every point at least 0.01 from a kink at m = 1e12, with
+        # infinities in the block; then one NaN.
+        far = near + rng.choice([-1.0, 1.0], near.shape) * rng.uniform(0.01, 2.0, near.shape)
+        far[0, :4] = [np.inf, -np.inf, 5.0, -5.0]
+        yield spec, 1e12, far
+        with_nan = far.copy()
+        with_nan[1, 7] = np.nan
+        yield spec, 1e12, with_nan
+        # Points whose erf or ndtr argument is exactly a window edge, among
+        # far ones: sqrt(4) = 2 scales the LAD argument, and at m = 2 the
+        # Huber arguments are 2 * (c -+ u).
+        edges = np.full((2, 200), 100.0)
+        edges[1] = -100.0
+        if spec is HUB:
+            edges[:, :4] = [[5.5, -3.0, 20.5, -20.5], [3.0, -5.5, 1.25, -1.25]]
+        else:
+            edges[:, :2] = [[3.25, -3.25], [0.0, -0.0]]
+        yield spec, 2.0 if spec is HUB else 4.0, edges
+        # A (rows, 1) column of orders: whole, partial and empty rows.
+        mixed = np.stack([near[0] + 0.3, near[1] + rng.uniform(-0.02, 0.02, 400), far[2]])
+        yield spec, np.array([[1.0], [1e6], [1e12]]), mixed
+
+
+def test_windowed_kernels_equal_the_direct_closed_forms_bitwise(monkeypatch):
+    cases = list(_kernel_blocks())
+    calls = (mollified_eval, mollified_grad, mollified_hess)
+    with np.errstate(invalid="ignore"):
+        got = [[_bits(call(spec, m, u)) for call in calls] for spec, m, u in cases]
+        monkeypatch.setattr(losses, "_saturated", _window_off)
+        direct = [[_bits(call(spec, m, u)) for call in calls] for spec, m, u in cases]
+    for (spec, m, _), g, d in zip(cases, got, direct):
+        for call, a, b in zip(calls, g, d):
+            assert a == b, (spec.label(), np.ravel(m)[:1], call.__name__)
+
+
+def test_windowed_kernels_of_a_scalar_return_floats(monkeypatch):
+    # A residual inside the window at m = 1e6 and others beyond it.
+    points = [(spec, k + du) for spec in KINK_LOSSES for k in losses._kink_points(spec)
+              for du in (0.0, 1e-4, -0.3, 3.0)]
+    calls = (mollified_eval, mollified_grad, mollified_hess)
+    got = [[call(spec, 1e6, u) for call in calls] for spec, u in points]
+    monkeypatch.setattr(losses, "_saturated", _window_off)
+    direct = [[call(spec, 1e6, u) for call in calls] for spec, u in points]
+    for values, expected in zip(got, direct):
+        for v, e in zip(values, expected):
+            assert type(v) is float
+            assert _bits(v) == _bits(e)
 
 
 def test_kde_mollifier_order_tracks_spread():

@@ -307,6 +307,27 @@ def test_block_kernels_equal_their_rows_bitwise():
             np.testing.assert_array_equal(J3[r], param_jacobian(layout, F[r], Xs[r], Zs[r]))
 
 
+def test_jacobian_column_scratch_changes_no_bit():
+    # The columns are built in a (rows, P, n) scratch and copied transposed.
+    # A zero coefficient gives -0.0 products where a link decreases; the
+    # build must turn them into +0.0, as adding them to a zeroed column does.
+    rng = np.random.default_rng(3)
+    n, rows = 200, 6
+    for ms in _block_models():
+        layout = ParamLayout(ms)
+        Xs = np.cumsum(rng.standard_normal((rows, n, 2)), axis=1)
+        Zs = rng.standard_normal((rows, n, 3))
+        F = rng.standard_normal((rows, layout.size))
+        F[::2, [t.gamma for t in layout.terms]] = 0.0
+        J = param_jacobian(layout, F, Xs, Zs)
+        scratch = np.full((rows, layout.size, n), np.nan)
+        out = np.full((rows, n, layout.size), np.nan)
+        assert param_jacobian(layout, F, Xs, Zs, out=out, scratch=scratch) is out
+        assert J.flags.c_contiguous and J.tobytes() == out.tobytes()
+        for r in range(rows):
+            assert J[r].tobytes() == _serial_jacobian(layout, F[r], Xs[r], Zs[r]).tobytes()
+
+
 def test_block_normalize_flags_degenerate_rows_only():
     ms = ModelSpec((IDENTITY,), (GAUSS_PDF,), 2, 2)
     layout = ParamLayout(ms)

@@ -43,13 +43,18 @@ mixed-normal errors and the quantile loss (the mixed-normal quantile), and
 ``forecast --loss huber:1.25`` on seed 1's first panel (the Huber location).
 Last come three ``fit`` commands on simulated n = 200 data: ex51 with
 ``huber:1.25``, ex52 with ``lad``, and a config model with no stationary
-block on the ex51 data.  It writes the panels, the simulated data, the
+block on the ex51 data.  Then ``loss-probe`` tabulates ``lad``,
+``quantile:0.3`` and ``huber:1.25`` and their smoothed value, score and
+curvature at orders 1, 1e6 and 1e12 on a grid over [-2, 2] that crosses
+each kink, so the loss kernels' public outputs are compared too: the kink
+windows of ``losses`` hold every grid point at order 1, some at 1e6 and
+only the kinks at 1e12.  It writes the panels, the simulated data, the
 ``mc`` CSVs, the forecast reports and error dumps, the ``fit`` JSON files
-and config, and every sidecar into OUT_DIR.  ``compare`` of two such
-directories prints, for each, the failed replications of its
-``mc`` tables and the fallback windows of its forecast reports, counted as
-the benchmark counts them; it lists each file that is in one only or whose
-bytes differ, and exits 1 if there is any.
+and config, the ``loss-probe`` tables, and every sidecar into OUT_DIR.
+``compare`` of two such directories prints, for each, the failed
+replications of its ``mc`` tables and the fallback windows of its
+forecast reports, counted as the benchmark counts them; it lists each file
+that is in one only or whose bytes differ, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -243,6 +248,9 @@ def cli(out_dir: str) -> int:
     ):
         argvs.append(["fit", "--data", str(out / f"simulate-{example}.csv"), *model,
                       "--loss", loss, "--out", str(out / f"{name}.json")])
+    for loss in ("lad", "quantile:0.3", "huber:1.25"):
+        argvs.append(["loss-probe", "--loss", loss, "--m", "1,1e6,1e12", "--grid=-2:2:0.001",
+                      "--out", str(out / f"loss-probe-{loss.replace(':', '-')}.csv")])
     failed += [" ".join(argv) for argv in argvs if mollifit(argv) != 0]
     print(f"{len(list(out.iterdir()))} files -> {out}")
     for argv in failed:
