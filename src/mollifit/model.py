@@ -393,8 +393,8 @@ def param_jacobian(layout: ParamLayout, flat: np.ndarray, X, Z, out=None, scratc
     round as they do on that layout.
     """
     F = _rows(flat)
-    shape = (F.shape[0], layout.size, X.shape[-2])
-    C = np.empty(shape) if scratch is None else scratch
+    rows, n = F.shape[0], X.shape[-2]
+    C = np.empty((rows, layout.size, n)) if scratch is None else scratch
     # Every column is written: an index column by the first term of its
     # block, a coefficient column by its term.
     for _, terms in layout.index_blocks:
@@ -411,7 +411,7 @@ def param_jacobian(layout: ParamLayout, flat: np.ndarray, X, Z, out=None, scratc
                     np.multiply(slope, A[..., j], out=C[:, col])
                     C[:, col] += 0.0
             C[:, t.gamma] = link_value(t.link, u)
-    J = np.empty((shape[0], shape[2], shape[1])) if out is None else out
+    J = np.empty((rows, n, layout.size)) if out is None else out
     J[...] = C.transpose(0, 2, 1)
     return J if flat.ndim > 1 else J[0]
 
