@@ -95,16 +95,9 @@ def parse_law(token: str) -> ErrorLaw:
 def parse_link(token: str) -> LinkSpec:
     token = _str(token).lower().strip()
     name, _, param = token.partition(":")
-    if name == "identity":
-        return LinkSpec(LinkKind.IDENTITY)
-    if name == "power":
-        return power_link(int(param))
-    if name in ("gauss_pdf", "gausspdf"):
-        return LinkSpec(LinkKind.GAUSS_PDF)
-    if name in ("hermite_exp", "hermiteexp"):
-        return LinkSpec(LinkKind.HERMITE_EXP)
-    if name in ("hermite_exp_linear", "hermiteexplinear"):
-        return LinkSpec(LinkKind.HERMITE_EXP_LINEAR)
+    for kind in LinkKind:
+        if name in (kind.value, kind.value.replace("_", "")):
+            return power_link(int(param)) if kind is LinkKind.POWER else LinkSpec(kind)
     raise ConfigurationError(f"unknown link token: {token!r}")
 
 
@@ -205,6 +198,7 @@ OPTIONS = (
     Option("forecast.z_cols", ("forecast",), "--z-cols", _str, [], is_list=True),
     Option("forecast.y_col", ("forecast",), "--y-col", _str, "y"),
     Option("forecast.quantiles", ("forecast",), "--quantiles", _float, is_list=True),
+    Option("forecast.threads", ("forecast",), "--threads", _workers, 1),
 )
 
 
@@ -273,10 +267,6 @@ def model_from_config(section: dict) -> ModelSpec:
         d2=read("d2", _int, 1),
         share_theta1=read("share_theta1", _bool, False),
     )
-
-
-def params_from_config(section: dict) -> ParamVector:
-    return ParamVector(**section)
 
 
 def model_to_config(model: ModelSpec) -> dict:
@@ -365,7 +355,7 @@ def cmd_simulate(args) -> int:
                 "generic simulation needs config sections model (with params) and dgp"
             )
         model = model_from_config(cfg["model"])
-        truth = params_from_config(cfg["model"]["params"])
+        truth = ParamVector(**cfg["model"]["params"])
         del dgp["example"]
         eye1, eye2 = np.eye(model.d1).tolist(), np.eye(model.d2).tolist()
         half2 = (0.5 * np.eye(model.d2)).tolist()
@@ -487,8 +477,7 @@ def cmd_forecast(args) -> int:
         fit_options=FitOptions(loss=opts["loss"], **opts["fit"]),
         quantile_levels=fc["quantiles"],
     )
-    threads = 1 if args.threads is None else _checked(_workers, args.threads, "--threads")
-    reports = run_forecast(table, config, threads=threads)
+    reports = run_forecast(table, config, threads=fc["threads"])
     _write_text(args.out, report_csv(reports))
     if args.dump:
         dump_dates = dates[fc["window"]:] if dates else None
@@ -582,7 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("forecast", help="rolling out-of-sample forecast report")
     pc.add_argument("--data", required=True)
     _add_options(pc, "forecast")
-    pc.add_argument("--threads", type=int)
     pc.add_argument("--config")
     pc.add_argument("--dump", help="per-window error CSV of the first quantile level "
                     "(of the loss itself without --quantiles)")

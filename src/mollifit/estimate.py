@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -83,7 +83,6 @@ from .model import (
     packed_mean,
     packed_normalize,
     param_jacobian,
-    validate_params,
 )
 
 _MAX_BACKTRACKS = 60
@@ -107,7 +106,6 @@ class FitOptions:
     multistart: int | None = None
     damping: float = 0.5
     ridge: float = 1e-10
-    track_descent: bool = False
     init_params: ParamVector | None = None
 
     def __post_init__(self):
@@ -140,7 +138,7 @@ class FitResult:
     residuals: np.ndarray
     start_index: int
     mollifier_m: float
-    descent_trace: list[float] | None = None
+    descent_trace: list[float]
 
 
 @dataclass
@@ -228,10 +226,10 @@ def estimate_sigma(model: ModelSpec, params: ParamVector, data: Dataset) -> np.n
     """
     if model.p2 == 0:
         raise EmptyBlockError("model has no stationary block")
-    validate_params(model, params)
     layout = ParamLayout(model)
+    flat = layout.pack(params)
     layout.check_widths(data.X, data.Z)
-    J = param_jacobian(layout, layout.pack(params), data.X, data.Z)
+    J = param_jacobian(layout, flat, data.X, data.Z)
     # A contiguous copy: the product then runs the same kernel as on a
     # freshly built design, whatever the column offset.
     J_s = np.ascontiguousarray(J[:, layout.gamma1_slice.stop :])
@@ -297,10 +295,9 @@ def _build_starts(layout: ParamLayout, data: Dataset, n_starts: int, init: Param
     sphere starts vary the index vectors used by a nonlinear link, or every
     index vector when all links are linear.
     """
-    if init is not None:
-        validate_params(layout.model, init)
-        if n_starts == 1:
-            return [layout.pack(init)]
+    first = None if init is None else layout.pack(init)
+    if first is not None and n_starts == 1:
+        return [first]
     # Every index vector on X (then Z) starts at the unit direction of the
     # X (Z) coefficients in one least-squares fit on the blocks in use.
     used = sorted({t.stationary for t in layout.terms})
@@ -314,7 +311,7 @@ def _build_starts(layout: ParamLayout, data: Dataset, n_starts: int, init: Param
     warm = np.zeros(layout.size)
     for t in layout.terms:
         warm[t.theta] = direction[t.stationary]
-    starts = [layout.pack(init) if init is not None else _gamma_refit(layout, data, warm.copy())]
+    starts = [first if first is not None else _gamma_refit(layout, data, warm.copy())]
 
     vary = [
         theta
@@ -381,10 +378,9 @@ class _StartOutcome:
     flat: np.ndarray
     residuals: np.ndarray
     objective: float
-    start_objective: float
     iterations: int
     converged: bool
-    trace: list[float] = field(default_factory=list)
+    trace: list[float]
 
 
 def _alphas(damping: float) -> np.ndarray:
@@ -412,7 +408,6 @@ def _minimize_one(opts, smooth, flat, e, L, m_target):
     failed step or search is thrown in.  Returns the start's
     :class:`_StartOutcome`.
     """
-    L_start = L
     trace = [L]
     iters = 0
     accepted_any = False
@@ -471,7 +466,7 @@ def _minimize_one(opts, smooth, flat, e, L, m_target):
             # stall on the very first step only counts when the proposed
             # step was already negligible (start at the optimum).
             converged = True
-    return _StartOutcome(flat, e, L, L_start, iters, converged, trace)
+    return _StartOutcome(flat, e, L, iters, converged, trace)
 
 
 class _Regressors:
@@ -723,7 +718,7 @@ def _lockstep(layout, opts, engine, jobs):
     return outcomes
 
 
-def _result(layout, opts, m, outcomes) -> FitResult:
+def _result(layout, m, outcomes) -> FitResult:
     """The fit's result from its starts' outcomes; the first start's error if any failed.
 
     The best start has the smallest exact objective, ties broken by the
@@ -739,13 +734,13 @@ def _result(layout, opts, m, outcomes) -> FitResult:
             best, best_index = out, si
     return FitResult(
         params=layout.unpack(best.flat),
-        objective=best.objective - best.start_objective,
+        objective=best.objective - best.trace[0],
         iterations=best.iterations,
         converged=best.converged,
         residuals=best.residuals,
         start_index=best_index,
         mollifier_m=m,
-        descent_trace=best.trace if opts.track_descent else None,
+        descent_trace=best.trace,
     )
 
 
@@ -805,7 +800,7 @@ def fit_many(model: ModelSpec, datasets, opts: FitOptions) -> list:
             m, starts = plans[k]
             mine = [next(outcomes) for _ in starts]
             try:
-                out[k] = _result(layout, opts, m, mine)
+                out[k] = _result(layout, m, mine)
             except MollifitError as err:
                 out[k] = err
     return out

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import groupby
 
 import numpy as np
 
 # fit stays a module attribute for bench/tracing.py, which wraps it here.
 from .estimate import FitOptions, fit, fit_many  # noqa: F401
 from .exceptions import ConfigurationError, MollifitError
-from .losses import LossKind, LossSpec, eval_loss, subgrad
+from .losses import LossKind, LossSpec, MollifierOrder, eval_loss, subgrad
 from .model import Dataset, ModelSpec, ParamLayout, regression_mean
 from .parallel import parallel_map
 
@@ -41,6 +40,9 @@ class ForecastConfig:
             raise ConfigurationError(
                 f"window must be at least {P + 5} for {P} parameters"
             )
+        if self.fit_options is not None:
+            # An order that overflows would fail every window's fit.
+            MollifierOrder.from_sample_size(self.window, self.fit_options.m_epsilon)
         cols = [self.y_col] + list(self.x_cols) + list(self.z_cols)
         if len(set(cols)) != len(cols):
             raise ConfigurationError("y/x/z column names must be disjoint")
@@ -121,19 +123,19 @@ def _options(task):
 def _forecast_chunk(y, X, Z, config, tasks) -> list:
     """(model error, benchmark error, fallback flag) per ``(opts, t)`` task.
 
-    Consecutive tasks with one set of options share one :func:`fit_many`
+    The tasks share one set of options, and their fits one :func:`fit_many`
     call over their windows, the ``window`` rows before each origin t.
     """
+    opts = _options(tasks[0])
     w = config.window
+    ts = [t for _, t in tasks]
+    windows = [Dataset(y=y[t - w : t], X=X[t - w : t], Z=Z[t - w : t]) for t in ts]
     out = []
-    for opts, group in groupby(tasks, key=_options):
-        ts = [t for _, t in group]
-        windows = [Dataset(y=y[t - w : t], X=X[t - w : t], Z=Z[t - w : t]) for t in ts]
-        for t, window, res in zip(ts, windows, fit_many(config.model, windows, opts)):
-            bench = constant_predictor(window.y, opts.loss)
-            yhat = _prediction(config.model, res, X[t], Z[t])
-            fallback = yhat is None
-            out.append((y[t] - (bench if fallback else yhat), y[t] - bench, fallback))
+    for t, window, res in zip(ts, windows, fit_many(config.model, windows, opts)):
+        bench = constant_predictor(window.y, opts.loss)
+        yhat = _prediction(config.model, res, X[t], Z[t])
+        fallback = yhat is None
+        out.append((y[t] - (bench if fallback else yhat), y[t] - bench, fallback))
     return out
 
 
@@ -169,9 +171,7 @@ def _rolling_forecasts(table: dict, config: ForecastConfig, losses, threads: int
     return out
 
 
-def rolling_forecast(
-    table: dict, config: ForecastConfig, loss: LossSpec | None = None, threads: int = 1
-):
+def rolling_forecast(table: dict, config: ForecastConfig, threads: int = 1):
     """One-step-ahead rolling forecasts over the usable rows.
 
     ``table`` maps column names to equal-length sequences.  Returns
@@ -180,8 +180,7 @@ def rolling_forecast(
     fits are independent, so they may run on several workers; the error
     series is assembled in time order either way.
     """
-    loss = loss if loss is not None else config.loss
-    return _rolling_forecasts(table, config, [loss], threads)[0]
+    return _rolling_forecasts(table, config, [config.loss], threads)[0]
 
 
 def pseudo_r2(pred_errors, bench_errors, loss: LossSpec) -> float:

@@ -98,10 +98,6 @@ class LossSpec:
             "squared-error loss has no global Lipschitz constant"
         )
 
-    @property
-    def is_lipschitz(self) -> bool:
-        return self.kind is not LossKind.SQUARED_ERROR
-
     def label(self) -> str:
         """``kind`` or ``kind:param``; the parameter reads back exactly."""
         if self.kind in (LossKind.QUANTILE, LossKind.HUBER):
@@ -316,8 +312,6 @@ def gap_bound(spec: LossSpec, m) -> float:
     The constant is the Lipschitz constant times the first absolute moment
     of the smoothing kernel, E|N(0,1/(2m))| = 1/sqrt(pi m).
     """
-    if not spec.is_lipschitz:
-        raise UnsupportedLossError("gap bound requires a Lipschitz loss")
     return spec.lipschitz / math.sqrt(math.pi * _as_m(m))
 
 
@@ -391,8 +385,8 @@ def quadrature_oracle(spec: LossSpec, m, u: float, order: int, nodes: int = 128)
     keeps the conditioning independent of m.  A composite Gauss rule is
     applied per smooth piece, splitting the domain at the images of the loss
     kinks (a single global Gauss-Hermite rule cannot see the kinks and stalls
-    near 1e-3 accuracy).  ``nodes`` is the Gauss order per panel.  Used only
-    by tests and the loss-probe command; the result carries an embedded
+    near 1e-3 accuracy).  ``nodes`` is the Gauss order per panel.  The tests
+    check the closed forms against it; the result carries an embedded
     accuracy flag obtained by halving the node count.
     """
     _require_lipschitz(spec, "quadrature oracle")

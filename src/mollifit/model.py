@@ -94,12 +94,6 @@ class HRegular:
 
     order: int
 
-    def nu(self, lam: float) -> float:
-        return lam**self.order
-
-    def nu_dot(self, lam: float) -> float:
-        return self.order * lam ** (self.order - 1)
-
 
 @dataclass(frozen=True)
 class IRegular:
@@ -180,24 +174,6 @@ class ParamVector:
         self.theta2 = [np.asarray(t, dtype=float).ravel() for t in self.theta2]
         self.gamma1 = np.asarray(self.gamma1, dtype=float).ravel()
         self.gamma2 = np.asarray(self.gamma2, dtype=float).ravel()
-
-
-def validate_params(model: ModelSpec, params: ParamVector):
-    if len(params.theta1) != model.n_theta1_blocks:
-        raise ShapeError(
-            f"expected {model.n_theta1_blocks} nonstationary index vectors, "
-            f"got {len(params.theta1)}"
-        )
-    if params.gamma1.size != model.p1 or params.gamma2.size != model.p2:
-        raise ShapeError("coefficient count does not match the model blocks")
-    if len(params.theta2) != model.p2:
-        raise ShapeError("stationary index vector count does not match")
-    for t in params.theta1:
-        if t.size != model.d1:
-            raise ShapeError(f"nonstationary index must have length {model.d1}")
-    for t in params.theta2:
-        if t.size != model.d2:
-            raise ShapeError(f"stationary index must have length {model.d2}")
 
 
 @dataclass
@@ -305,14 +281,22 @@ class ParamLayout:
                 raise ShapeError(f"{name} must have {width} columns, got {A.shape[1]}")
 
     def pack(self, params: ParamVector) -> np.ndarray:
-        flat = np.empty(self.size)
-        for sl, t in zip(self.theta1_slices, params.theta1):
-            flat[sl] = t
-        flat[self.gamma1_slice] = params.gamma1
-        for sl, t in zip(self.theta2_slices, params.theta2):
-            flat[sl] = t
-        flat[self.gamma2_slice] = params.gamma2
-        return flat
+        """``params`` as one flat vector; ShapeError unless its shapes fit the model."""
+        model = self.model
+        if len(params.theta1) != model.n_theta1_blocks:
+            raise ShapeError(
+                f"expected {model.n_theta1_blocks} nonstationary index vectors, "
+                f"got {len(params.theta1)}"
+            )
+        if params.gamma1.size != model.p1 or params.gamma2.size != model.p2:
+            raise ShapeError("coefficient count does not match the model blocks")
+        if len(params.theta2) != model.p2:
+            raise ShapeError("stationary index vector count does not match")
+        for thetas, d, name in ((params.theta1, model.d1, "nonstationary"),
+                                (params.theta2, model.d2, "stationary")):
+            if any(t.size != d for t in thetas):
+                raise ShapeError(f"{name} index must have length {d}")
+        return np.concatenate([*params.theta1, params.gamma1, *params.theta2, params.gamma2])
 
     def unpack(self, flat: np.ndarray) -> ParamVector:
         return ParamVector(
@@ -418,15 +402,15 @@ def param_jacobian(layout: ParamLayout, flat: np.ndarray, X, Z, out=None, scratc
 
 def regression_mean(model: ModelSpec, params: ParamVector, x, z):
     """Regression function value(s); accepts single rows or matrices."""
-    validate_params(model, params)
+    layout = ParamLayout(model)
+    flat = layout.pack(params)
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     single = x.ndim == 1 and z.ndim == 1
     X = np.atleast_2d(x)
     Z = np.atleast_2d(z)
-    layout = ParamLayout(model)
     layout.check_widths(X, Z)
-    out = packed_mean(layout, layout.pack(params), X, Z)
+    out = packed_mean(layout, flat, X, Z)
     return float(out[0]) if single else out
 
 
@@ -489,7 +473,6 @@ def normalize(params: ParamVector, model: ModelSpec) -> ParamVector:
     ``(nrm*sign)^k`` and an odd link takes the sign.  For any other link the
     coefficient is left alone and the caller re-optimizes.
     """
-    validate_params(model, params)
     layout = ParamLayout(model)
     flat = layout.pack(params)
     if not packed_normalize(layout, flat).all():

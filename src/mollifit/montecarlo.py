@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import groupby
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .dgp import ErrorLaw, example_model, gen_example, rng_for
 # fit stays a module attribute for bench/tracing.py, which wraps it here.
 from .estimate import FitOptions, fit, fit_many  # noqa: F401
 from .exceptions import ConfigurationError, MollifitError, UndefinedRateError
-from .losses import LossKind, LossSpec
+from .losses import LossKind, LossSpec, MollifierOrder
 from .model import ParamLayout
 from .parallel import parallel_map
 
@@ -50,6 +49,8 @@ class McConfig:
             raise ConfigurationError("need at least 2 replications")
         if not self.n_list or any(a >= b for a, b in zip(self.n_list, self.n_list[1:])):
             raise ConfigurationError("n_list must be non-empty and strictly ascending")
+        # An order that overflows at the largest n would fail each of its fits.
+        MollifierOrder.from_sample_size(self.n_list[-1], self.fit_options.m_epsilon)
         if not self.losses or not self.laws:
             raise ConfigurationError("need at least one loss and one error law")
         labels = [loss.label() for loss in self.losses]
@@ -67,7 +68,6 @@ class McCell:
     mse: float
     reps_used: int
     failures: int
-    flagged: bool = False
 
 
 @dataclass
@@ -91,34 +91,33 @@ def _loss_and_n(task):
 def _replicate_chunk(config: McConfig, tasks) -> list:
     """Named estimation errors per ``(cell, rep)`` task, None where the fit failed.
 
-    Consecutive tasks of one (loss, n) share one :func:`fit_many` call.
+    The tasks share one (loss, n), and their fits one :func:`fit_many` call.
     """
-    out = []
-    for (loss, n), group in groupby(tasks, key=_loss_and_n):
-        recenter = loss.param if loss.kind is LossKind.QUANTILE else None
-        datasets = []
-        for (_, _, law, key), rep in group:
-            data, model, truth = gen_example(
-                config.example, n, law, rng_for(config.base_seed, *key, rep),
-                recenter_tau=recenter, error_scale=config.error_scale,
-            )
-            datasets.append(data)
-        opts = replace(config.fit_options, loss=loss)
-        if config.start_at_truth:
-            opts = replace(opts, init_params=truth, multistart=1)
-        layout = ParamLayout(model)
-        for res in fit_many(model, datasets, opts):
-            ok = not isinstance(res, MollifitError) and res.converged
-            out.append(layout.named_errors(res.params, truth) if ok else None)
-    return out
+    loss, n = _loss_and_n(tasks[0])
+    recenter = loss.param if loss.kind is LossKind.QUANTILE else None
+    datasets = []
+    for (_, _, law, key), rep in tasks:
+        data, model, truth = gen_example(
+            config.example, n, law, rng_for(config.base_seed, *key, rep),
+            recenter_tau=recenter, error_scale=config.error_scale,
+        )
+        datasets.append(data)
+    opts = replace(config.fit_options, loss=loss)
+    if config.start_at_truth:
+        opts = replace(opts, init_params=truth, multistart=1)
+    layout = ParamLayout(model)
+    return [
+        layout.named_errors(res.params, truth)
+        if not isinstance(res, MollifitError) and res.converged else None
+        for res in fit_many(model, datasets, opts)
+    ]
 
 
 def run_replications(config: McConfig) -> McTable:
     """Full bias/sd/MSE table over all (loss, law, n) cells.
 
-    Failed fits (exceptions or non-convergence) are counted and excluded
-    from the moments; a cell with more than 20% failures is flagged but the
-    run continues.
+    Failed fits (exceptions or non-convergence) are counted in each cell's
+    ``failures`` and excluded from its moments; the run continues.
     """
     model, _ = example_model(config.example)
     param_names = ParamLayout(model).param_names()
@@ -144,7 +143,6 @@ def run_replications(config: McConfig) -> McTable:
         cell_results = results[c * config.reps : (c + 1) * config.reps]
         errors = [e for e in cell_results if e is not None]
         failures = config.reps - len(errors)
-        flagged = failures > 0.2 * config.reps
         for pname in param_names:
             vals = np.array([e[pname] for e in errors]) if errors else np.zeros(0)
             if vals.size:
@@ -155,7 +153,7 @@ def run_replications(config: McConfig) -> McTable:
                 bias = sd = mse = float("nan")
             table.cells[(pname, loss.label(), law.value, n)] = McCell(
                 bias=bias, sd=sd, mse=mse, reps_used=vals.size,
-                failures=failures, flagged=flagged,
+                failures=failures,
             )
     return table
 

@@ -22,24 +22,25 @@ def parallel_map(fn, items, workers: int, key=None) -> list:
     """``fn(chunk)`` over contiguous chunks of ``items``, concatenated in order.
 
     ``fn`` takes a list of items and returns one result per item, so a
-    chunk's items can share work.  With ``workers <= 1`` (or fewer than two
-    items) it is one call on all items in this process.  Otherwise one
-    process pool runs the chunks.  No chunk straddles two runs of
+    chunk's items can share work.  A chunk never straddles two runs of
     consecutive items with equal ``key(item)`` (all items are one run
-    without a ``key``), and each run is cut into chunks of ``ceil(len(run)
-    / parts)`` items, ``parts = ceil(workers * CHUNKS_PER_WORKER / runs)``.
-    Results come back in input order either way.  ``fn`` and the items must
-    be picklable.
+    without a ``key``).  With ``workers <= 1`` (or fewer than two items)
+    each run is one call in this process.  Otherwise one process pool runs
+    the chunks: each run is cut into chunks of ``ceil(len(run) / parts)``
+    items, ``parts = ceil(workers * CHUNKS_PER_WORKER / runs)``.  Results
+    come back in input order either way.  ``fn`` and the items must be
+    picklable.
     """
     items = list(items)
+    keys = [key(item) for item in items] if key is not None else [None] * len(items)
+    starts = [i for i in range(len(items)) if i == 0 or keys[i] != keys[i - 1]]
+    runs = list(zip(starts, starts[1:] + [len(items)]))
     workers = min(workers, len(items))
     if workers <= 1:
-        return fn(items)
-    keys = [key(item) for item in items] if key is not None else [None] * len(items)
-    bounds = [0, *(i for i in range(1, len(items)) if keys[i] != keys[i - 1]), len(items)]
-    parts = math.ceil(workers * CHUNKS_PER_WORKER / (len(bounds) - 1))
+        return [result for lo, hi in runs for result in fn(items[lo:hi])]
+    parts = math.ceil(workers * CHUNKS_PER_WORKER / len(runs))
     chunks = []
-    for lo, hi in zip(bounds, bounds[1:]):
+    for lo, hi in runs:
         size = math.ceil((hi - lo) / parts)
         chunks += [items[a : min(a + size, hi)] for a in range(lo, hi, size)]
     # The platform's default start method (fork on Linux): a spawned worker

@@ -340,7 +340,7 @@ def test_criterion_08_descent_and_scale_invariance():
     for seed in range(100):
         ms, data = _random_instance(seed)
         loss = losses[seed % 4]
-        res = fit(ms, data, FitOptions(loss=loss, track_descent=True, multistart=2))
+        res = fit(ms, data, FitOptions(loss=loss, multistart=2))
         trace = np.array(res.descent_trace)
         descent_ok &= bool(
             np.all(np.diff(trace) <= 1e-12 * (1.0 + np.abs(trace[:-1])))

@@ -230,6 +230,26 @@ def test_fit_cli_rejects_an_overflowing_smoothing_order(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_mc_and_forecast_reject_an_overflowing_smoothing_order(tmp_path, capsys):
+    # Both ran every fit into the overflow, then wrote a table of failures
+    # (mc) or of fallback windows (forecast) and exited 0.
+    data = tmp_path / "d.csv"
+    assert run(["simulate", "--example", "ex51", "--n", "80", "--seed", "3",
+                "--out", str(data)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fit": {"m_epsilon": 200}}))
+    capsys.readouterr()
+    commands = [
+        ["mc", "--example", "ex51", "--n", "50", "--reps", "3", "--losses", "l1", "--laws", "d1"],
+        ["forecast", "--data", str(data), "--window", "50", "--z-cols", "z1,z2", "--loss", "lad"],
+    ]
+    for command in commands:
+        out = tmp_path / f"{command[0]}.csv"
+        assert run([*command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "mollifier order n^(2+epsilon) overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cli_rejects_an_infinite_huber_threshold_or_order(tmp_path, capsys):
     # Each used to run: fit stopped on a singular-matrix error, mc wrote an
     # all-NaN table and loss-probe a NaN curvature column.
@@ -368,10 +388,13 @@ def test_threads_below_one_exit_2(tmp_path, capsys, threads):
         assert run([*command, f"--threads={threads}", "--out", str(out)]) == 2
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"mc": {"threads": int(threads)}}))
-    assert run([*commands[0], "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 2
-    assert "mc.threads" in capsys.readouterr().err
+    for command in commands:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({command[0]: {"threads": int(threads)}}))
+        out = tmp_path / "c.csv"
+        assert run([*command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{command[0]}.threads" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_forecast_survives_an_underflowing_curvature(tmp_path):
@@ -591,7 +614,7 @@ _WALK = {
     "forecast": {
         "loss": "se", "forecast.window": 45, "forecast.x_cols": ["x1"],
         "forecast.z_cols": ["z1"], "forecast.y_col": "x2", "forecast.quantiles": [0.5],
-        **_FIT_WALK,
+        "forecast.threads": 2, **_FIT_WALK,
     },
 }
 # Keys that act only together with another: both runs of the case set it.
@@ -606,6 +629,7 @@ _WALK_CONTEXT = {
 # must change instead.
 _ECHO_ONLY = {
     ("mc", "mc.threads"): "output is byte-identical across worker counts by contract",
+    ("forecast", "forecast.threads"): "output is byte-identical across worker counts by contract",
     ("fit", "seed"): "fit draws no random numbers",
 }
 

@@ -158,9 +158,18 @@ def test_fit_returns_normalized_params():
 
 def test_fit_descent_trace_monotone():
     data, spec, _ = gen_example("ex51", 100, ErrorLaw.NORMAL, rng_for(97, 0))
-    res = fit(spec, data, FitOptions(loss=HUB, track_descent=True))
+    res = fit(spec, data, FitOptions(loss=HUB))
     trace = np.array(res.descent_trace)
     assert np.all(np.diff(trace) <= 1e-12 * (1 + np.abs(trace[:-1])))
+
+
+def test_default_fit_records_the_winning_descent_trace():
+    data, spec, _ = gen_example("ex51", 100, ErrorLaw.NORMAL, rng_for(97, 0))
+    res = fit(spec, data, FitOptions(loss=LAD))
+    trace = res.descent_trace
+    assert len(trace) >= 1
+    # The winning start's trace: its objective is the trace's total drop.
+    assert trace[-1] - trace[0] == res.objective
 
 
 _BAD_OPTIONS = [
@@ -349,7 +358,7 @@ def test_fit_many_solves_the_fallbacks_of_a_round_together(monkeypatch):
     # one it is alone.
     spec = ModelSpec((), (IDENTITY,), 1, 1)
     layout = ParamLayout(spec)
-    opts = FitOptions(loss=LAD, track_descent=True)
+    opts = FitOptions(loss=LAD)
     datasets = [_stationary_line(seed) for seed in (3000, 3197, 3098, 3165, 3001)]
     expect = [_outcome_bytes(layout, fit(spec, data, opts)) for data in datasets]
     flagged = []
@@ -476,8 +485,8 @@ def test_fit_many_equals_fit_on_each_dataset(monkeypatch, example, loss):
     datasets = [a, short, b, narrow, c]
     layout = ParamLayout(spec)
     for opts in (
-        FitOptions(loss=loss, track_descent=True),
-        FitOptions(loss=loss, track_descent=True, init_params=truth, multistart=1),
+        FitOptions(loss=loss),
+        FitOptions(loss=loss, init_params=truth, multistart=1),
     ):
         expect = [_outcome_bytes(layout, _fit_alone(spec, d, opts)) for d in datasets]
         assert [type(e) for e in expect] == [dict, tuple, dict, tuple, dict]
@@ -519,7 +528,7 @@ def test_each_lockstep_group_builds_its_own_first_jacobian(monkeypatch):
     data, spec, truth = gen_example("ex51", 100, ErrorLaw.T2, rng_for(2, 0))
     noisy, _, _ = gen_example("ex51", 100, ErrorLaw.T2, rng_for(3, 0))
     exact = Dataset(regression_mean(spec, truth, data.X, data.Z), data.X, data.Z)
-    opts = FitOptions(loss=LAD, init_params=truth, multistart=1, track_descent=True)
+    opts = FitOptions(loss=LAD, init_params=truth, multistart=1)
     layout = ParamLayout(spec)
     monkeypatch.setattr(estimate, "_BLOCK_ELEMENTS", data.n)
     first, second = fit_many(spec, [exact, noisy], opts)
@@ -685,7 +694,7 @@ def test_lockstep_raises_the_error_of_the_first_failing_start(monkeypatch):
     assert isinstance(out[1], DegenerateParameterError) and str(out[1]) == "start 1"
     assert isinstance(out[2], RankDeficiencyError) and str(out[2]) == "start 2"
     with pytest.raises(DegenerateParameterError, match="start 1"):
-        estimate._result(layout, opts, None, out)
+        estimate._result(layout, None, out)
 
 
 def test_a_truth_anchored_single_start_fits_no_least_squares_warm_start(monkeypatch):

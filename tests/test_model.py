@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mollifit.dgp import ErrorLaw, gen_example, rng_for
+from mollifit.dgp import ErrorLaw, example_model, gen_example, rng_for
 from mollifit.exceptions import (
     ConfigurationError,
     DegenerateParameterError,
@@ -49,9 +50,8 @@ def test_h_regular_homogeneity_identity():
         cls = classify_link(link)
         for lam in (2.0, 10.0):
             np.testing.assert_allclose(
-                link_value(link, lam * u), cls.nu(lam) * link_value(link, u), rtol=1e-12
+                link_value(link, lam * u), lam**cls.order * link_value(link, u), rtol=1e-12
             )
-        assert cls.nu_dot(2.0) == cls.order * 2.0 ** (cls.order - 1)
 
 
 def test_i_regular_absolute_integrals():
@@ -382,3 +382,23 @@ def test_named_errors_sign_alignment():
     # The estimated direction is flipped onto the truth before differencing.
     assert errs["theta11"] == pytest.approx(-0.01)
     assert errs["gamma1"] == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("theta1", [[0.6, 0.8]], "expected 2 nonstationary index vectors, got 1"),
+    ("gamma1", [2.0], "coefficient count does not match"),
+    ("gamma2", [1.0, 1.0], "coefficient count does not match"),
+    ("theta2", [], "stationary index vector count does not match"),
+    ("theta1", [[0.6, 0.8], [1.0, 0.0, 0.0]], "nonstationary index must have length 2"),
+    ("theta2", [[1.0]], "stationary index must have length 2"),
+])
+def test_pack_rejects_every_malformed_shape(field, value, message):
+    # A vector that does not fit the model must not pack into a flat vector
+    # of broadcast or uninitialised entries, nor name its errors from one.
+    spec, truth = example_model("ex51")
+    layout = ParamLayout(spec)
+    bad = replace(truth, **{field: value})
+    for call in (lambda: layout.pack(bad), lambda: layout.named_errors(bad, truth),
+                 lambda: layout.named_errors(truth, bad)):
+        with pytest.raises(ShapeError, match=message):
+            call()

@@ -72,6 +72,21 @@ def test_parallel_map_keeps_input_order(pools):
     assert pools == [2]
 
 
+def test_serial_parallel_map_calls_once_per_key_run(pools):
+    # Runs of equal key, one key repeated after another run: three runs.
+    items = [(0, i) for i in range(3)] + [(1, 0)] + [(0, i) for i in range(3, 7)]
+    calls = []
+
+    def recording(chunk):
+        calls.append(chunk)
+        return _tagged(chunk)
+
+    out = parallel_map(recording, items, 1, key=lambda item: item[0])
+    assert pools == []
+    assert [item for _, _, item in out] == items
+    assert calls == [items[:3], items[3:4], items[4:]]
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 def test_parallel_map_cuts_chunks_within_runs_of_equal_key(pools, workers):
     lengths = [7, 12, 5]

@@ -99,7 +99,7 @@ def grid():
                         example, n, ErrorLaw.T2, rng_for(seed, 0), recenter_tau=tau
                     )
                     for protocol in PROTOCOLS:
-                        opts = FitOptions(loss=loss, track_descent=True)
+                        opts = FitOptions(loss=loss)
                         if protocol == "truth":
                             opts = dataclasses.replace(opts, init_params=truth, multistart=1)
                         key = f"{example}-n{n}-s{seed}-{loss.label()}-{protocol}"
