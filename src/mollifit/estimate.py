@@ -20,30 +20,29 @@ The starts of a fit, and the fits of one :func:`fit_many` call, run in
 lockstep.  Each start's iteration is a generator (``_minimize_one``) that
 keeps only its control flow (rungs, budgets, the subgradient fallback, the
 stall rules) and yields its work as requests of two kinds: a Newton step
-(the start's parameters, residuals, smoothing order and flags) and a line
-search (parameters, step, objective to beat).  A step that the subgradient
-fallback may follow comes back with the fallback's direction too, solved
-from the same normal matrix.  One loop (``_lockstep``) serves the requests
-of all live (fit, start) jobs of one sample size, each kind in one batched
-call per round, and owns the arithmetic: the step server computes the
-scores, weights and subgradients of all steps on one (S, n) residual block,
-then (S, n, P) Jacobians and one batched solve; the search server advances
-every pending search by one block of trial points in one evaluation and
-resumes a start only when its search ends.  A search tries ``alpha = 1, d,
-d^2, ...`` (repeated multiplication by ``damping``) in blocks of rows that
-double in size, and takes the first row that lowers ``L_n``.  A budget of
-``_BLOCK_ELEMENTS`` elements caps the (rows, n) trial blocks and the number
-of jobs per lockstep group, so at large n a fit runs one start and one
-trial at a time.  Each group stacks the regressors of its datasets once; a
-call whose rows all come from one dataset uses that dataset's own arrays,
-and a call that mixes datasets gathers its rows by index.  Every batched
-operation rounds as its one-start form, so each start follows its serial
-path bit for bit, and ``fit_many`` returns for each dataset what ``fit``
-returns alone.
+(the start's parameters, residuals, smoothing order and exact-score flag)
+and a line search (parameters, step, objective to beat).  One loop
+(``_lockstep``) serves the requests of all live (fit, start) jobs of one
+sample size, each kind in one batched call per round, and owns the
+arithmetic: the step server computes the scores and weights of all steps on
+one (S, n) residual block, then (S, n, P) Jacobians and one batched solve;
+the search server advances every pending search by one block of trial
+points in one evaluation and resumes a start only when its search ends.  A
+search tries ``alpha = 1, d, d^2, ...`` (repeated multiplication by
+``damping``) in blocks of rows that double in size, and takes the first row
+that lowers ``L_n``.  A budget of ``_BLOCK_ELEMENTS`` elements caps the
+(rows, n) trial blocks and the number of jobs per lockstep group, so at
+large n a fit runs one start and one trial at a time.  Each group stacks
+the regressors of its datasets once; a call whose rows all come from one
+dataset uses that dataset's own arrays, and a call that mixes datasets
+gathers its rows by index.  Every batched operation rounds as its one-start
+form, so each start follows its serial path bit for bit, and ``fit_many``
+returns for each dataset what ``fit`` returns alone.
 
 A Jacobian depends only on its dataset and iterate, so a round of steps at
 the datasets and iterates of the group's last Jacobian block (the first
-step of a rung that follows a rung ending without a move) reuses the block.
+step of a rung that follows a rung ending without a move, or the exact-score
+step at an iterate whose smoothed step was refused) reuses the block.
 """
 
 from __future__ import annotations
@@ -129,7 +128,16 @@ class FitOptions:
 
 @dataclass
 class FitResult:
-    """What the optimizer made; :func:`infer` derives the inference from it."""
+    """What the optimizer made; :func:`infer` derives the inference from it.
+
+    Of the winning start: ``params``, its final iterate; ``objective``, its
+    final L_n minus its starting L_n (<= 0), the final L_n being
+    ``descent_trace[-1]``; ``iterations``, its Newton steps that went to a
+    line search; ``converged``, whether its final rung converged;
+    ``residuals``, ``y`` minus the mean at ``params``; ``start_index``, its
+    place among the starts; ``mollifier_m``, the final rung's smoothing
+    order; ``descent_trace``, L_n at the start and after each accepted step.
+    """
 
     params: ParamVector
     objective: float
@@ -328,32 +336,18 @@ def _build_starts(layout: ParamLayout, data: Dataset, n_starts: int, init: Param
     return starts
 
 
-class _LossEngine:
-    """Objective and smoothed derivatives of the loss, over blocks of rows."""
+def _derivatives(loss: LossSpec, E, M, exact):
+    """Scores and weights of the rows of a (rows, n) residual block.
 
-    def __init__(self, loss: LossSpec):
-        self.loss = loss
-        self.smooth = loss.kind is not LossKind.SQUARED_ERROR
-
-    def objective(self, E):
-        """L_n of each row of a (rows, n) residual block."""
-        return np.sum(eval_loss(self.loss, E), axis=-1)
-
-    def derivatives(self, E, M, exact, fall_back):
-        """Scores, weights and exact subgradients of the rows of a (rows, n) block.
-
-        ``M`` is a (rows, 1) column of smoothing orders.  A row flagged in
-        ``exact`` takes the exact subgradient as its score.  The subgradient
-        block is None unless a row is flagged in ``exact`` or ``fall_back``.
-        """
-        if not self.smooth:
-            G = subgrad(self.loss, E)
-            return G, np.full(E.shape, 2.0), G
-        G = subgrad(self.loss, E) if (exact | fall_back).any() else None
-        scores = mollified_grad(self.loss, M, E)
-        if exact.any():
-            scores = np.where(exact[:, None], G, scores)
-        return scores, mollified_hess(self.loss, M, E), G
+    ``M`` is a (rows, 1) column of smoothing orders.  A row flagged in
+    ``exact`` takes the exact subgradient as its score.
+    """
+    if loss.kind is LossKind.SQUARED_ERROR:
+        return subgrad(loss, E), np.full(E.shape, 2.0)
+    scores = mollified_grad(loss, M, E)
+    if exact.any():
+        scores = np.where(exact[:, None], subgrad(loss, E), scores)
+    return scores, mollified_hess(loss, M, E)
 
 
 def _rung_schedule(e0: np.ndarray, m_target: float, smooth: bool):
@@ -393,26 +387,23 @@ def _alphas(damping: float) -> np.ndarray:
     return out
 
 
-def _minimize_one(opts, smooth, flat, e, L, m_target):
+def _minimize_one(opts, flat, e, L, m_target):
     """The annealed Newton iteration from one evaluated start, as a generator.
 
     ``flat`` is the normalized start, ``e`` its residuals and ``L`` its
     objective.  The generator keeps the start's control flow and yields its
     work to :func:`_lockstep`, which sends the results back:
-    ``("step", flat, e, m, exact, fall_back)`` gets ``(delta, max|delta|,
-    fallback)`` from :func:`_newton_steps`, the Newton step of the
-    order-``m`` smoothed score (the exact subgradient if ``exact``) and, if
-    ``fall_back``, the step of the exact subgradient from the same normal
-    matrix or the error of its solve, else None; ``("search", flat, delta,
-    L, size)`` gets the line search's result from :func:`_search`.  A
-    failed step or search is thrown in.  Returns the start's
-    :class:`_StartOutcome`.
+    ``("step", flat, e, m, exact)`` gets from :func:`_newton_steps` the
+    Newton step of the order-``m`` smoothed score (of the exact subgradient
+    if ``exact``); ``("search", flat, delta, L, size)`` gets the line
+    search's result from :func:`_search`.  A failed step or search is
+    thrown in.  Returns the start's :class:`_StartOutcome`.
     """
+    smooth = opts.loss.kind is not LossKind.SQUARED_ERROR
     trace = [L]
     iters = 0
     accepted_any = False
     converged = False
-    last_delta_sup = math.inf
     rungs = _rung_schedule(e, m_target, smooth)
     size = 1
     for ri, m in enumerate(rungs):
@@ -424,27 +415,23 @@ def _minimize_one(opts, smooth, flat, e, L, m_target):
         stalled = False
         exact = False
         for _ in range(budget):
-            # Where the subgradient fallback below can follow, its direction
-            # comes with the step: the Jacobian does not outlive the step.
-            can_fall_back = last and smooth and not accepted_any
-            delta, last_delta_sup, fallback = yield "step", flat, e, m, exact, can_fall_back
+            delta = yield "step", flat, e, m, exact
+            last_delta_sup = float(np.max(np.abs(delta)))
             if last_delta_sup < rung_tol:
                 if last:
                     converged = True
                 break
             found = yield "search", flat, delta, L, size
-            if found is None and can_fall_back:
+            if found is None and last and smooth and not accepted_any:
                 # A residual within a kernel width of a kink can tip the
-                # smoothed score uphill for the exact objective, which would
-                # leave the start where it is.  The exact subgradient (the
-                # score's m -> infinity limit) is a descent direction
-                # wherever L_n is differentiable, so the final rung goes on
-                # along it.  After an accepted step, a refused step is a
-                # stall and ends the search (see below).
+                # smoothed score uphill and leave the start where it is.  The
+                # exact subgradient (the score's m -> infinity limit) is a
+                # descent direction wherever L_n is differentiable, so the
+                # final rung goes on along it.  After an accepted step, a
+                # refused step is a stall and ends the search (see below).
                 exact = True
-                if isinstance(fallback, Exception):
-                    raise fallback
-                found = yield "search", flat, fallback, L, size
+                delta = yield "step", flat, e, m, exact
+                found = yield "search", flat, delta, L, size
             iters += 1
             if found is None:
                 stalled = True
@@ -491,7 +478,7 @@ class _Regressors:
         return tuple(A[rows] for A in self.stacked)
 
 
-def _evaluate(layout, engine, regs, F, rows):
+def _evaluate(layout, loss, regs, F, rows):
     """Normalize a (rows, P) block in place and evaluate each row on its dataset.
 
     ``rows`` numbers the dataset of each row in ``regs``.  Returns the
@@ -500,7 +487,7 @@ def _evaluate(layout, engine, regs, F, rows):
     ok = packed_normalize(layout, F)
     y, X, Z = regs.take(rows)
     E = y - packed_mean(layout, F, X, Z)
-    return ok, E, engine.objective(E)
+    return ok, E, np.sum(eval_loss(loss, E), axis=-1)
 
 
 @dataclass
@@ -519,7 +506,7 @@ class _Search:
     k: int = 0
 
 
-def _search(layout, engine, regs, searches, alphas):
+def _search(layout, loss, regs, searches, alphas):
     """Advance every pending line search by one block of trials, in one evaluation.
 
     ``searches`` maps a job to its :class:`_Search`, which tries
@@ -549,7 +536,7 @@ def _search(layout, engine, regs, searches, alphas):
     flats = np.array([s.flat for s in pending])
     deltas = np.array([s.delta for s in pending])
     F = flats[owner] + alphas[trial, None] * deltas[owner]
-    ok, E, Ls = _evaluate(layout, engine, regs, F, np.array([s.data for s in pending])[owner])
+    ok, E, Ls = _evaluate(layout, loss, regs, F, np.array([s.data for s in pending])[owner])
     stop = ~ok | (Ls < np.array([s.L for s in pending])[owner])
     first = np.minimum.reduceat(np.where(stop, np.arange(stop.size), stop.size), bounds[:-1])
     out = {}
@@ -584,25 +571,21 @@ def _solve_each(H, g, names):
     return steps
 
 
-def _newton_steps(layout, opts, engine, regs, requests, names, work, held):
-    """Newton steps for ``(data, flat, e, m, exact, fall_back)`` requests.
+def _newton_steps(layout, opts, regs, requests, names, work, held):
+    """Newton steps for ``(data, flat, e, m, exact)`` requests.
 
-    The scores, weights and subgradients of all requests come from one
-    (S, n) residual block, the Jacobians from one (S, n, P) block, then
-    stacked products and one batched solve; each stacked product rounds as
-    its one-start form.  The Jacobian is written into ``work[0]``, through a
-    column scratch in ``work[1]`` that its weighted copy then overwrites;
-    both are (>= S, n, P) arrays.  ``held[0]`` keys the Jacobian
-    block in ``work[0]`` by its rows' datasets and iterates; a round that
-    asks for exactly those rows, in that order, uses the block as it is.
-    Per request: ``(step, max|step|, fallback)``, or the solver's error;
-    ``fallback`` is None without ``fall_back``, else the solution of the
-    same ridged normal matrix against ``J' subgradient`` or its error.
+    The scores and weights of all requests come from one (S, n) residual
+    block, the Jacobians from one (S, n, P) block, then stacked products
+    and one batched solve; each stacked product rounds as its one-start
+    form.  The Jacobian is written into ``work[0]``, through a column
+    scratch in ``work[1]`` that its weighted copy then overwrites; both are
+    (>= S, n, P) arrays.  ``held[0]`` keys the Jacobian block in
+    ``work[0]`` by its rows' datasets and iterates; a round that asks for
+    exactly those rows, in that order, uses the block as it is.  Per
+    request: the step, or the solver's error.
     """
-    rows, flats, es, ms, exact, fall_back = zip(*requests)
-    scores, weights, G = engine.derivatives(
-        np.array(es), np.array(ms)[:, None], np.array(exact), np.array(fall_back)
-    )
+    rows, flats, es, ms, exact = zip(*requests)
+    scores, weights = _derivatives(opts.loss, np.array(es), np.array(ms)[:, None], np.array(exact))
     F = np.array(flats)
     # J depends only on the datasets and the iterates: a step at a new
     # smoothing order, or from an iterate that did not move, finds its
@@ -631,22 +614,10 @@ def _newton_steps(layout, opts, engine, regs, requests, names, work, held):
     scale = np.where(gmax > scale, gmax, scale)
     scale = np.where(1e-30 > scale, 1e-30, scale)
     H += (opts.ridge * scale)[:, None, None] * np.eye(layout.size)
-    steps = _solve_each(H, g, names)
-    D = np.array([np.zeros(layout.size) if isinstance(s, Exception) else s for s in steps])
-    sups = np.max(np.abs(D), axis=1).tolist()
-    fallbacks = [None] * len(steps)
-    ks = [k for k in np.flatnonzero(fall_back) if not isinstance(steps[k], Exception)]
-    if ks:
-        g_exact = np.array([J[k].T @ G[k] for k in ks])
-        for k, fallback in zip(ks, _solve_each(H[ks], g_exact, names)):
-            fallbacks[k] = fallback
-    return [
-        s if isinstance(s, Exception) else (s, sups[k], fallbacks[k])
-        for k, s in enumerate(steps)
-    ]
+    return _solve_each(H, g, names)
 
 
-def _lockstep(layout, opts, engine, jobs):
+def _lockstep(layout, opts, jobs):
     """Run :func:`_minimize_one` for every ``(data, start, m_target)`` job.
 
     The jobs share one n and run in groups of at most ``_BLOCK_ELEMENTS //
@@ -676,11 +647,11 @@ def _lockstep(layout, opts, engine, jobs):
         src = {i: number[id(jobs[i][0])] for i in members}
         regs = _Regressors(datas)
         F = np.stack([jobs[i][1] for i in members])
-        ok, E, Ls = _evaluate(layout, engine, regs, F, np.array([src[i] for i in members]))
+        ok, E, Ls = _evaluate(layout, opts.loss, regs, F, np.array([src[i] for i in members]))
         gens = {}
         for r, i in enumerate(members):
             if ok[r]:
-                gens[i] = _minimize_one(opts, engine.smooth, F[r], E[r].copy(), float(Ls[r]), jobs[i][2])
+                gens[i] = _minimize_one(opts, F[r], E[r].copy(), float(Ls[r]), jobs[i][2])
             else:
                 outcomes[i] = DegenerateParameterError("cannot normalize a zero index vector")
         steps, searches = {}, {}
@@ -712,9 +683,9 @@ def _lockstep(layout, opts, engine, jobs):
         while steps or searches:
             if steps:
                 requests = list(steps.values())
-                send(dict(zip(steps, _newton_steps(layout, opts, engine, regs, requests, names, work, held))))
+                send(dict(zip(steps, _newton_steps(layout, opts, regs, requests, names, work, held))))
             if searches:
-                send(_search(layout, engine, regs, searches, alphas))
+                send(_search(layout, opts.loss, regs, searches, alphas))
     return outcomes
 
 
@@ -776,7 +747,6 @@ def fit_many(model: ModelSpec, datasets, opts: FitOptions) -> list:
     min_rows = max(t.theta.stop - t.theta.start for t in layout.terms) + len(layout.terms) + 1
     identity_only = all(t.link.kind is LinkKind.IDENTITY for t in layout.terms)
     n_starts = opts.multistart if opts.multistart is not None else (1 if identity_only else 8)
-    engine = _LossEngine(opts.loss)
     out = [None] * len(datasets)
     plans = {}
     by_n = {}
@@ -795,7 +765,7 @@ def fit_many(model: ModelSpec, datasets, opts: FitOptions) -> list:
         by_n.setdefault(data.n, []).append(k)
     for ks in by_n.values():
         jobs = [(datasets[k], start, plans[k][0]) for k in ks for start in plans[k][1]]
-        outcomes = iter(_lockstep(layout, opts, engine, jobs))
+        outcomes = iter(_lockstep(layout, opts, jobs))
         for k in ks:
             m, starts = plans[k]
             mine = [next(outcomes) for _ in starts]

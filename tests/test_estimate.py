@@ -350,12 +350,11 @@ def test_fit_leaves_start_when_smoothed_step_points_uphill():
     assert res.params.gamma2[0] * res.params.theta2[0][0] == pytest.approx(exact, abs=1e-8)
 
 
-def test_fit_many_solves_the_fallbacks_of_a_round_together(monkeypatch):
-    # The step server solves the subgradient fallback of every row flagged
-    # for it.  The samples of seeds 3098 and 3165 reach their final rung
-    # without a move in the same step round as the uphill sample above, so
-    # three fallbacks share one batched solve; each fit must still be the
-    # one it is alone.
+def test_fit_many_takes_exact_score_steps_as_each_fit_alone(monkeypatch):
+    # The samples of seeds 3098 and 3165 reach their final rung without a
+    # move in the same step round as the uphill sample above, and the
+    # uphill sample goes on with exact-score steps among the others' steps;
+    # each fit must still be the one it is alone.
     spec = ModelSpec((), (IDENTITY,), 1, 1)
     layout = ParamLayout(spec)
     opts = FitOptions(loss=LAD)
@@ -364,14 +363,40 @@ def test_fit_many_solves_the_fallbacks_of_a_round_together(monkeypatch):
     flagged = []
     steps = estimate._newton_steps
 
-    def counting(layout, opts, engine, regs, requests, *rest):
-        flagged.append(sum(fall_back for *_, fall_back in requests))
-        return steps(layout, opts, engine, regs, requests, *rest)
+    def counting(layout, opts, regs, requests, *rest):
+        flagged.append(sum(exact for *_, exact in requests))
+        return steps(layout, opts, regs, requests, *rest)
 
     monkeypatch.setattr(estimate, "_newton_steps", counting)
     got = fit_many(spec, datasets, opts)
-    assert max(flagged) >= 2
+    assert sum(flagged) > 0
     assert [_outcome_bytes(layout, r) for r in got] == expect
+
+
+def test_the_fallback_steps_from_the_refused_iterate_on_its_jacobian(monkeypatch):
+    # On the uphill sample the final rung refuses the first smoothed step.
+    # The exact-score step that follows is an ordinary step request at the
+    # same iterate, so it finds the refused step's Jacobian block in place:
+    # the fit builds one block per distinct iterate.
+    data = _stationary_line(3197)
+    requests, blocks = [], []
+    steps, jacobian = estimate._newton_steps, estimate.param_jacobian
+
+    def recording(*args):
+        requests.extend(args[-4])
+        return steps(*args)
+
+    def counting(*args, **kwargs):
+        blocks.append(1)
+        return jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(estimate, "_newton_steps", recording)
+    monkeypatch.setattr(estimate, "param_jacobian", counting)
+    fit(ModelSpec((), (IDENTITY,), 1, 1), data, FitOptions(loss=LAD))
+    k = next(k for k, request in enumerate(requests) if request[4])
+    assert not requests[k - 1][4]
+    assert requests[k][1].tobytes() == requests[k - 1][1].tobytes()
+    assert len(blocks) == len({request[1].tobytes() for request in requests})
 
 
 def test_fit_single_block_models():
@@ -551,12 +576,11 @@ def _serial_search(layout, data, loss, flat, delta, L, damping):
 
 def _block_search(layout, data, loss, flat, delta, L, damping, size):
     """The search server's answer for one search, and the trials of its refused blocks."""
-    engine = estimate._LossEngine(loss)
     regs = estimate._Regressors([data])
     search = estimate._Search(0, flat, delta, L, size)
     alphas = estimate._alphas(damping)
     while True:
-        answers = estimate._search(layout, engine, regs, {0: search}, alphas)
+        answers = estimate._search(layout, loss, regs, {0: search}, alphas)
         if answers:
             return answers[0], search.k
 
@@ -603,9 +627,7 @@ def test_batched_derivatives_equal_per_row_calls(loss):
     E = rng.standard_normal((len(ms), 400)) * np.array([3.0, 1.0, 0.1, 1e-2, 1e-3])[:, None]
     E[:, :3] = [0.0, 1.25, -1.25]
     exact = np.array([False, True, False, False, True])
-    fall_back = np.array([False, False, True, False, True])
-    engine = estimate._LossEngine(loss)
-    scores, weights, G = engine.derivatives(E, np.array(ms)[:, None], exact, fall_back)
+    scores, weights = estimate._derivatives(loss, E, np.array(ms)[:, None], exact)
     for k, (m, e) in enumerate(zip(ms, E)):
         sub = subgrad(loss, e)
         if loss.kind is LossKind.SQUARED_ERROR:
@@ -615,7 +637,6 @@ def test_batched_derivatives_equal_per_row_calls(loss):
             want_weight = mollified_hess(loss, m, e)
         assert scores[k].tobytes() == want_score.tobytes(), k
         assert weights[k].tobytes() == want_weight.tobytes(), k
-        assert G[k].tobytes() == sub.tobytes(), k
 
 
 def test_solve_each_isolates_a_singular_system():
@@ -637,7 +658,6 @@ def test_search_server_ends_each_search_in_its_own_round():
     # does alone.
     data, spec, truth = gen_example("ex51", 200, ErrorLaw.T2, rng_for(32, 0))
     layout = ParamLayout(spec)
-    engine = estimate._LossEngine(LAD)
     regs = estimate._Regressors([data])
     alphas = estimate._alphas(0.5)
     flat = layout.pack(truth)
@@ -657,7 +677,7 @@ def test_search_server_ends_each_search_in_its_own_round():
     round_ = 0
     while searches:
         round_ += 1
-        for job, answer in estimate._search(layout, engine, regs, searches, alphas).items():
+        for job, answer in estimate._search(layout, LAD, regs, searches, alphas).items():
             del searches[job]
             ended[job] = round_, answer
     assert ended["zeroing"][0] == 3
@@ -671,7 +691,7 @@ def test_search_server_ends_each_search_in_its_own_round():
 def test_lockstep_raises_the_error_of_the_first_failing_start(monkeypatch):
     # Job 2 fails in the first round and job 1 in the third; the others run
     # on to their outcomes, and a fit reports its first failing start.
-    def fake(opts, smooth, flat, e, L, m_target):
+    def fake(opts, flat, e, L, m_target):
         k = int(m_target)
         for r in range(3):
             # Any trial beats an infinite objective, so each search ends in
@@ -686,10 +706,9 @@ def test_lockstep_raises_the_error_of_the_first_failing_start(monkeypatch):
     monkeypatch.setattr(estimate, "_minimize_one", fake)
     data, spec, _ = gen_example("ex52", 100, ErrorLaw.NORMAL, rng_for(33, 0))
     layout = ParamLayout(spec)
-    engine = estimate._LossEngine(LAD)
     opts = FitOptions(loss=LAD)
     jobs = [(data, np.ones(layout.size), float(k)) for k in range(4)]
-    out = estimate._lockstep(layout, opts, engine, jobs)
+    out = estimate._lockstep(layout, opts, jobs)
     assert [out[0], out[3]] == [0, 3]
     assert isinstance(out[1], DegenerateParameterError) and str(out[1]) == "start 1"
     assert isinstance(out[2], RankDeficiencyError) and str(out[2]) == "start 2"

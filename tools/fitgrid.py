@@ -22,10 +22,18 @@ serial dump's.  A second pass (keys
 ``cross-...``) repeats the truth-anchored calls at one job per lockstep
 group, each dataset led by a zero-noise one on other regressors, so that
 consecutive groups open at the same dataset number and iterate; each of
-its noisy fits must equal the grid fit of its key.  With ``--bench`` it
-fits the first passes of the benchmark's ``fit-small`` and ``fit-large``
-workloads for seeds 1 and 2718 instead, as the benchmark fits them
-(``bench/workloads.py``, normal and t2 errors, n up to 50 000).
+its noisy fits must equal the grid fit of its key.  The serial and
+``--batched`` dumps also fit the eight samples of the scalar design
+``y = z + e`` (no X block, one identity stationary term; ``z`` then ``e``
+standard normal from ``default_rng(3000 + s)``) on which the final rung
+refuses the first smoothed step and the fit goes on along the exact
+subgradient (keys ``fallback-<loss>-n<n>-s<s>``): serially with ``fit``,
+and under ``--batched`` with one ``fit_many`` per (loss, n); in the grid
+one start takes an exact-score step, and its search refuses it.  They use
+only the public API, so an older tree can be dumped with this script.
+With ``--bench`` it fits the first passes of the benchmark's ``fit-small``
+and ``fit-large`` workloads for seeds 1 and 2718 instead, as the benchmark
+fits them (``bench/workloads.py``, normal and t2 errors, n up to 50 000).
 ``compare`` prints, for each dump, the fits that raised and the fits with
 ``converged=False``; it lists each fit and field whose dtype, shape or
 bytes differ between two dumps, and exits 1 if there is any.  It then sums
@@ -74,6 +82,13 @@ SEEDS = (1, 7, 2718)
 PROTOCOLS = ("global", "truth")
 BENCH_WORKLOADS = ("fit-small", "fit-large")
 BENCH_SEEDS = (1, 2718)
+# (loss label, n, s) of the scalar-design fits that take exact-score steps.
+FALLBACK_FITS = (
+    ("lad", 125, 183), ("lad", 125, 197),
+    ("lad", 500, 44), ("lad", 500, 84), ("lad", 500, 194),
+    ("quantile:0.3", 125, 15), ("quantile:0.3", 125, 144),
+    ("quantile:0.3", 2000, 94),
+)
 
 
 def bench_workloads():
@@ -104,6 +119,22 @@ def grid():
                             opts = dataclasses.replace(opts, init_params=truth, multistart=1)
                         key = f"{example}-n{n}-s{seed}-{loss.label()}-{protocol}"
                         yield key, model, data, opts
+
+
+def fallback_fits():
+    """(key, model, data, options) of every scalar-design fit that falls back."""
+    from mollifit.estimate import FitOptions
+    from mollifit.losses import LAD, quantile_loss
+    from mollifit.model import IDENTITY, Dataset, ModelSpec
+
+    model = ModelSpec((), (IDENTITY,), 1, 1)
+    losses = {loss.label(): loss for loss in (LAD, quantile_loss(0.3))}
+    for label, n, s in FALLBACK_FITS:
+        rng = np.random.default_rng(3000 + s)
+        z = rng.standard_normal((n, 1))
+        y = z[:, 0] + rng.standard_normal(n)
+        opts = FitOptions(loss=losses[label])
+        yield f"fallback-{label}-n{n}-s{s}", model, Dataset(y, np.zeros((n, 1)), z), opts
 
 
 def cross_group_calls(calls):
@@ -173,6 +204,11 @@ def dump(path: str, batched: bool = False, bench: bool = False) -> int:
             calls.setdefault((example, loss, protocol), (model, opts, []))[2].append((key, data))
         for call in calls.values():
             add_many(*call)
+        fallback_calls = {}
+        for key, model, data, opts in fallback_fits():
+            fallback_calls.setdefault((opts.loss, data.n), (model, opts, []))[2].append((key, data))
+        for call in fallback_calls.values():
+            add_many(*call)
         budget = estimate._BLOCK_ELEMENTS
         estimate._BLOCK_ELEMENTS = min(NS)  # one job per lockstep group
         try:
@@ -181,7 +217,7 @@ def dump(path: str, batched: bool = False, bench: bool = False) -> int:
         finally:
             estimate._BLOCK_ELEMENTS = budget
     else:
-        for key, model, data, opts in grid():
+        for key, model, data, opts in (*grid(), *fallback_fits()):
             results[key] = model, data, opts.loss, call_or_error(fit, model, data, opts)
     arrays = {}
     for key, (model, data, loss, res) in results.items():
