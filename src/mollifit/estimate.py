@@ -43,6 +43,16 @@ A Jacobian depends only on its dataset and iterate, so a round of steps at
 the datasets and iterates of the group's last Jacobian block (the first
 step of a rung that follows a rung ending without a move, or the exact-score
 step at an iterate whose smoothed step was refused) reuses the block.
+
+At the late rungs of a LAD or quantile fit the smoothed curvature
+``rho_m''`` is nonzero only within about ``1/sqrt(m)`` of the kink, so few
+rows carry the curvature ``J'WJ``.  At n > ``_BLOCK_ELEMENTS``, where a
+round holds the step of one start, a round with fewer than n/8 nonzero
+weights sums ``J'WJ`` over those rows only.  That sum rounds differently
+from the dense one, so such a fit can differ from the dense path in its
+last digits (and, rarely, in its iteration count); the decision depends on
+the one request alone, so ``fit_many`` still equals ``fit`` bitwise.  Every
+fit at n <= ``_BLOCK_ELEMENTS`` keeps the dense products.
 """
 
 from __future__ import annotations
@@ -571,6 +581,12 @@ def _solve_each(H, g, names):
     return steps
 
 
+def _live_curvature(J, w, live):
+    """``J' diag(w) J`` of one (n, P) Jacobian from the rows ``live`` that hold w's nonzeros."""
+    J_live = J[live]
+    return (J_live * w[live, None]).T @ J_live
+
+
 def _newton_steps(layout, opts, regs, requests, names, work, held):
     """Newton steps for ``(data, flat, e, m, exact)`` requests.
 
@@ -578,11 +594,19 @@ def _newton_steps(layout, opts, regs, requests, names, work, held):
     block, the Jacobians from one (S, n, P) block, then stacked products
     and one batched solve; each stacked product rounds as its one-start
     form.  The Jacobian is written into ``work[0]``, through a column
-    scratch in ``work[1]`` that its weighted copy then overwrites; both are
+    scratch in ``work[1]`` that the dense weighted copy overwrites; both are
     (>= S, n, P) arrays.  ``held[0]`` keys the Jacobian block in
     ``work[0]`` by its rows' datasets and iterates; a round that asks for
-    exactly those rows, in that order, uses the block as it is.  Per
-    request: the step, or the solver's error.
+    exactly those rows, in that order, uses the block as it is.
+
+    At n > ``_BLOCK_ELEMENTS`` a round holds one request, so whether it
+    gathers depends on that request alone.  When fewer than n/8 of its
+    weights are nonzero (a NaN counts), as at the late rungs of a LAD or
+    quantile fit, its curvature ``J'WJ`` comes from those rows alone
+    (:func:`_live_curvature`): it then sums k products per entry instead
+    of n, so it rounds differently from the dense product.  The score
+    product ``J'psi`` stays dense, and at n <= ``_BLOCK_ELEMENTS`` so does
+    every product.  Per request: the step, or the solver's error.
     """
     rows, flats, es, ms, exact = zip(*requests)
     scores, weights = _derivatives(opts.loss, np.array(es), np.array(ms)[:, None], np.array(exact))
@@ -600,8 +624,14 @@ def _newton_steps(layout, opts, regs, requests, names, work, held):
         J = param_jacobian(layout, F, X, Z, out=work[0][: len(requests)], scratch=scratch)
         held[0] = key
     g = np.matmul(J.transpose(0, 2, 1), scores[..., None])[..., 0]
-    JW = np.multiply(J, weights[..., None], out=work[1][: len(requests)])
-    H = np.matmul(JW.transpose(0, 2, 1), J)
+    # ``!= 0`` keeps a NaN weight live, and nonzero on the mask is several
+    # times faster than on the floats.
+    live = np.flatnonzero(weights[0] != 0) if regs.n > _BLOCK_ELEMENTS else None
+    if live is not None and 8 * live.size < regs.n:
+        H = _live_curvature(J[0], weights[0], live)[None]
+    else:
+        JW = np.multiply(J, weights[..., None], out=work[1][: len(requests)])
+        H = np.matmul(JW.transpose(0, 2, 1), J)
     # Ridge relative to the problem scale: an absolute 1e-10 is lost in
     # rounding against design blocks of size ~1e6 and leaves the LU
     # factorization exactly singular on low-rank weight states.

@@ -561,6 +561,124 @@ def test_each_lockstep_group_builds_its_own_first_jacobian(monkeypatch):
     assert _outcome_bytes(layout, second) == _outcome_bytes(layout, fit(spec, noisy, opts))
 
 
+def _count_live_curvatures(monkeypatch):
+    """Wrap ``_live_curvature``; the returned list grows by one per gathered round."""
+    calls = []
+    live_curvature = estimate._live_curvature
+
+    def counting(*args):
+        calls.append(1)
+        return live_curvature(*args)
+
+    monkeypatch.setattr(estimate, "_live_curvature", counting)
+    return calls
+
+
+def _large_fit_setting(loss, protocol, seed=1):
+    """ex51 at n = 1000, t2 errors; a budget below n makes it a large fit."""
+    tau = loss.param if loss.kind is LossKind.QUANTILE else None
+    data, spec, truth = gen_example("ex51", 1000, ErrorLaw.T2, rng_for(seed, 0), recenter_tau=tau)
+    opts = FitOptions(loss=loss)
+    if protocol == "truth":
+        opts = dataclasses.replace(opts, init_params=truth, multistart=1)
+    return data, spec, opts
+
+
+@pytest.mark.parametrize("protocol", ["truth", "global"])
+@pytest.mark.parametrize("loss", [LAD, Q3], ids=["lad", "quantile"])
+def test_a_large_kink_loss_fit_takes_its_late_curvature_from_the_live_rows(monkeypatch, loss, protocol):
+    # A budget of n runs one job per group and one trial per search block,
+    # as a budget below n does, so the two fits differ only in how H is
+    # summed: over all n rows, or over the few rows with a nonzero weight.
+    data, spec, opts = _large_fit_setting(loss, protocol)
+    layout = ParamLayout(spec)
+    gathered = _count_live_curvatures(monkeypatch)
+    monkeypatch.setattr(estimate, "_BLOCK_ELEMENTS", data.n)
+    dense = fit(spec, data, opts)
+    assert not gathered
+    monkeypatch.setattr(estimate, "_BLOCK_ELEMENTS", data.n - 1)
+    got = fit(spec, data, opts)
+    assert len(gathered) > 0
+    assert np.max(np.abs(layout.pack(got.params) - layout.pack(dense.params))) <= 1e-6
+    L_dense, L_got = dense.descent_trace[-1], got.descent_trace[-1]
+    assert L_got - L_dense <= 1e-9 * L_dense
+    assert (got.converged, got.start_index) == (dense.converged, dense.start_index)
+
+
+@pytest.mark.parametrize("protocol", ["truth", "global"])
+@pytest.mark.parametrize("loss", [HUB, SQUARED_ERROR], ids=["huber", "se"])
+def test_a_large_fit_with_dense_weights_keeps_the_dense_curvature(monkeypatch, loss, protocol):
+    data, spec, opts = _large_fit_setting(loss, protocol)
+    layout = ParamLayout(spec)
+    gathered = _count_live_curvatures(monkeypatch)
+    monkeypatch.setattr(estimate, "_BLOCK_ELEMENTS", data.n)
+    dense = _outcome_bytes(layout, fit(spec, data, opts))
+    monkeypatch.setattr(estimate, "_BLOCK_ELEMENTS", data.n - 1)
+    assert _outcome_bytes(layout, fit(spec, data, opts)) == dense
+    # A sphere start far from the data (median |e| about 55) leaves fewer
+    # than n/8 residuals inside Huber's quadratic zone at m = 1; it gathers
+    # two rounds and does not win.  Squared error never gathers.
+    assert bool(gathered) == ((loss, protocol) == (HUB, "global"))
+
+
+def test_fit_many_of_large_fits_equals_fit_on_each_dataset(monkeypatch):
+    # Whether a round gathers depends on its one request only.
+    datasets = [_large_fit_setting(LAD, "truth", seed)[0] for seed in (1, 2)]
+    _, spec, opts = _large_fit_setting(LAD, "truth")
+    layout = ParamLayout(spec)
+    gathered = _count_live_curvatures(monkeypatch)
+    monkeypatch.setattr(estimate, "_BLOCK_ELEMENTS", datasets[0].n - 1)
+    expect = [_outcome_bytes(layout, fit(spec, data, opts)) for data in datasets]
+    assert len(gathered) > 0
+    got = fit_many(spec, datasets, opts)
+    assert [_outcome_bytes(layout, r) for r in got] == expect
+
+
+def _step_with_weights(monkeypatch, budget, weights, ridge=1e-10):
+    """One Newton step of a truth-anchored ex51 LAD state at n = 1000, with ``weights`` imposed."""
+    data, spec, opts = _large_fit_setting(LAD, "truth")
+    layout = ParamLayout(spec)
+    flat = layout.pack(opts.init_params)
+    e = data.y - packed_mean(layout, flat, data.X, data.Z)
+    monkeypatch.setattr(estimate, "_BLOCK_ELEMENTS", budget)
+    monkeypatch.setattr(estimate, "_derivatives", lambda loss, E, M, exact: (subgrad(LAD, E), weights[None]))
+    (step,) = estimate._newton_steps(
+        layout,
+        dataclasses.replace(opts, ridge=ridge),
+        estimate._Regressors([data]),
+        [(0, flat, e, 1e12, False)],
+        {col: name for name, col in layout.scalars},
+        np.empty((2, 1, data.n, layout.size)),
+        [None],
+    )
+    return step
+
+
+@pytest.mark.parametrize(
+    "case, ridge",
+    [("no live row", 1e-10), ("no live row", 0.0), ("nan", 1e-10), ("nan among live rows", 1e-10)],
+)
+def test_a_gathered_round_gives_the_dense_step_or_error(monkeypatch, case, ridge):
+    # k = 0 leaves the ridge alone in H (singular without it).  A NaN weight
+    # is live, as np.count_nonzero counts it, so H is NaN on both paths.
+    n = 1000
+    weights = np.zeros(n)
+    if case != "no live row":
+        weights[17] = np.nan
+    if case == "nan among live rows":
+        weights[[3, 400, 999]] = [0.5, 2.0, 1e-3]
+    gathered = _count_live_curvatures(monkeypatch)
+    dense = _step_with_weights(monkeypatch, n, weights, ridge)
+    assert not gathered
+    got = _step_with_weights(monkeypatch, n - 1, weights, ridge)
+    assert len(gathered) == 1
+    if isinstance(dense, Exception):
+        assert (type(got), str(got)) == (type(dense), str(dense))
+    else:
+        np.testing.assert_array_equal(got, dense)
+    assert isinstance(dense, RankDeficiencyError) == (case != "no live row" or ridge == 0.0)
+
+
 def _serial_search(layout, data, loss, flat, delta, L, damping):
     alpha = 1.0
     for _ in range(60):

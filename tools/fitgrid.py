@@ -31,16 +31,19 @@ subgradient (keys ``fallback-<loss>-n<n>-s<s>``): serially with ``fit``,
 and under ``--batched`` with one ``fit_many`` per (loss, n); in the grid
 one start takes an exact-score step, and its search refuses it.  They use
 only the public API, so an older tree can be dumped with this script.
-With ``--bench`` it fits the first passes of the benchmark's ``fit-small``
-and ``fit-large`` workloads for seeds 1 and 2718 instead, as the benchmark
-fits them (``bench/workloads.py``, normal and t2 errors, n up to 50 000).
+With ``--bench`` it fits, for seeds 1 and 2718 instead, every input set of
+the benchmark's ``fit-small`` and ``fit-large`` workloads (each pass of
+each set, keys ``<workload>-s<seed>-set<s>-pass<p>-...``), as the
+benchmark makes and fits them (``bench/workloads.py``, normal and t2
+errors, n up to 50 000).
 ``compare`` prints, for each dump, the fits that raised and the fits with
 ``converged=False``; it lists each fit and field whose dtype, shape or
 bytes differ between two dumps, and exits 1 if there is any.  It then sums
 up the differences against the gates of a change that is not bitwise: the
 largest parameter move, the fits whose winning start or convergence flag
-flipped, and the largest relative rise of the final objective L_n (the last
-entry of the descent trace).
+flipped, the fits whose iteration count changed (with both counts), and the
+largest relative rise of the final objective L_n (the last entry of the
+descent trace).
 
 ``cli`` runs ``mollifit mc`` and the 3-level ``mollifit forecast`` with the
 arguments of the benchmark's ``cli-batch`` workload (``bench/workloads.py``)
@@ -193,10 +196,13 @@ def dump(path: str, batched: bool = False, bench: bool = False) -> int:
         for name in BENCH_WORKLOADS:
             spec = workloads.FIT_WORKLOADS[name]
             for seed in BENCH_SEEDS:
-                for item in workloads.first_pass(spec, seed):
-                    res = call_or_error(workloads.fit_one, spec, item)
-                    loss = workloads.LOSSES[item.loss]
-                    results[f"{name}-s{seed}-{item.key}"] = item.model, item.data, loss, res
+                for s in range(workloads.SETUPS):
+                    for p, items in enumerate(workloads.make_passes(spec, seed, s)):
+                        for item in items:
+                            res = call_or_error(workloads.fit_one, spec, item)
+                            loss = workloads.LOSSES[item.loss]
+                            key = f"{name}-s{seed}-set{s}-pass{p}-{item.key}"
+                            results[key] = item.model, item.data, loss, res
     elif batched:
         calls = {}
         for key, model, data, opts in grid():
@@ -349,13 +355,13 @@ def compare(path_a: str, path_b: str) -> int:
 
 
 def summary(a, b) -> list[str]:
-    """Largest |delta params|, flipped start/convergence, largest L_n rise."""
+    """Largest |delta params|, flipped start/convergence, changed iterations, largest L_n rise."""
     shared = set(a.files) & set(b.files)
 
     def pair(name):
         return (a[name], b[name]) if name in shared else (None, None)
 
-    moves, flips, rises = [], [], []
+    moves, flips, iterations, rises = [], [], [], []
     for fit in sorted({name.rsplit("/", 1)[0] for name in shared}):
         x, y = pair(f"{fit}/params")
         if x is not None and x.shape == y.shape:
@@ -364,6 +370,9 @@ def summary(a, b) -> list[str]:
             x, y = pair(f"{fit}/{field}")
             if x is not None and x.tobytes() != y.tobytes():
                 flips.append(f"{fit}/{field} {x} -> {y}")
+        x, y = pair(f"{fit}/iterations")
+        if x is not None and x.tobytes() != y.tobytes():
+            iterations.append(f"{fit} {x} -> {y}")
         # Two traces may differ in length; only their final L_n counts.
         x, y = pair(f"{fit}/descent_trace")
         if x is not None and x.dtype.kind == y.dtype.kind == "f" and x.size and y.size:
@@ -373,6 +382,7 @@ def summary(a, b) -> list[str]:
         "largest |delta params|: "
         + ("n/a" if top_move is None else f"{top_move[0]:.3g} ({top_move[1]})"),
         "start_index or converged flipped: " + (", ".join(flips) if flips else "none"),
+        "iterations changed: " + (", ".join(iterations) if iterations else "none"),
         "largest relative rise of the final L_n: "
         + ("none" if top_rise is None or top_rise[0] <= 0 else f"{top_rise[0]:.3g} ({top_rise[1]})"),
     ]
