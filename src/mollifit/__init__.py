@@ -32,7 +32,6 @@ from .estimate import (
     fit,
     fit_many,
     infer,
-    quadratic_minimizer,
     stationary_covariance,
 )
 from .exceptions import MollifitError
@@ -50,7 +49,6 @@ from .losses import (
     mollified_eval,
     mollified_grad,
     mollified_hess,
-    quadrature_oracle,
     quantile_loss,
     subgrad,
 )

@@ -486,6 +486,10 @@ def cmd_forecast(args) -> int:
     return 0
 
 
+# A larger grid may not fit in memory, and its table would run to gigabytes.
+_MAX_PROBE_POINTS = 10**6
+
+
 def cmd_loss_probe(args) -> int:
     loss = parse_loss(args.loss)
     if loss.kind is LossKind.SQUARED_ERROR:
@@ -498,6 +502,11 @@ def cmd_loss_probe(args) -> int:
         raise ConfigurationError("grid must be lo:hi:step") from exc
     if step <= 0 or hi < lo:
         raise ConfigurationError("grid must satisfy lo <= hi and step > 0")
+    # The grid has ceil((hi - lo)/step + 0.5) points; NaN and inf fail the test.
+    if not (hi - lo) / step + 0.5 <= _MAX_PROBE_POINTS:
+        raise ConfigurationError(
+            f"grid must have finite bounds and at most {_MAX_PROBE_POINTS} points"
+        )
     m_list = [float(v) for v in args.m.split(",")]
     grid = np.arange(lo, hi + 0.5 * step, step)
     lines = ["u,rho,rho_m,rho_m_prime,rho_m_second,gap,gap_bound"]
@@ -580,7 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("loss-probe", help="tabulate a loss and its smoothed versions")
     pl.add_argument("--loss", required=True)
     pl.add_argument("--m", required=True, help="comma-separated smoothing orders")
-    pl.add_argument("--grid", required=True, help="lo:hi:step")
+    pl.add_argument(
+        "--grid", required=True, help=f"lo:hi:step, at most {_MAX_PROBE_POINTS} points"
+    )
     pl.add_argument("--out", required=True)
     pl.set_defaults(func=cmd_loss_probe)
     return p

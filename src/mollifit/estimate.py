@@ -174,25 +174,6 @@ class Inference:
     stat_cov: np.ndarray | None
 
 
-def quadratic_minimizer(J, psi_e, a2: float, ridge: float = 0.0) -> np.ndarray:
-    """Closed-form minimizer of the quadratic surrogate objective.
-
-    In root-n-scaled coordinates the surrogate is
-    ``Q(beta) = -(J' psi / sqrt(n))' beta + (a2/2) beta' (J'J/n) beta``;
-    its unique minimizer is ``((a2/n) J'J + ridge I)^{-1} (J' psi / sqrt(n))``.
-    """
-    J = np.atleast_2d(np.asarray(J, dtype=float))
-    psi_e = np.asarray(psi_e, dtype=float).ravel()
-    n, P = J.shape
-    if psi_e.size != n:
-        raise ShapeError("psi_e length must match the rows of J")
-    if not a2 > 0:
-        raise ConfigurationError("a2 must be positive")
-    H = (a2 / n) * (J.T @ J) + ridge * np.eye(P)
-    b = J.T @ psi_e / math.sqrt(n)
-    return _solve_spd(H, b, context="quadratic surrogate")
-
-
 def _solve_spd(H, b, context: str, names=None):
     try:
         out = np.linalg.solve(H, b)
@@ -277,10 +258,7 @@ def _sphere_point(counter: int, d: int) -> np.ndarray:
         [0.5 + (counter + 1) * math.sqrt(_PRIMES[i % len(_PRIMES)]) for i in range(d)]
     )
     u = np.clip(u - np.floor(u), 5e-4, 1.0 - 5e-4)
-    z = ndtri(u)
-    if np.linalg.norm(z) < 1e-12:
-        return np.eye(1, d)[0]
-    return _unitize(z[None])[0][0]
+    return _unit_or_default(ndtri(u))
 
 
 def _unit_or_default(vec: np.ndarray) -> np.ndarray:
@@ -381,7 +359,6 @@ def _rung_schedule(e0: np.ndarray, m_target: float, smooth: bool):
 class _StartOutcome:
     flat: np.ndarray
     residuals: np.ndarray
-    objective: float
     iterations: int
     converged: bool
     trace: list[float]
@@ -463,7 +440,7 @@ def _minimize_one(opts, flat, e, L, m_target):
             # stall on the very first step only counts when the proposed
             # step was already negligible (start at the optimum).
             converged = True
-    return _StartOutcome(flat, e, L, iters, converged, trace)
+    return _StartOutcome(flat, e, iters, converged, trace)
 
 
 class _Regressors:
@@ -731,11 +708,11 @@ def _result(layout, m, outcomes) -> FitResult:
     best: _StartOutcome | None = None
     best_index = 0
     for si, out in enumerate(outcomes):
-        if best is None or out.objective < best.objective:
+        if best is None or out.trace[-1] < best.trace[-1]:
             best, best_index = out, si
     return FitResult(
         params=layout.unpack(best.flat),
-        objective=best.objective - best.trace[0],
+        objective=best.trace[-1] - best.trace[0],
         iterations=best.iterations,
         converged=best.converged,
         residuals=best.residuals,

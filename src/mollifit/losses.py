@@ -5,8 +5,7 @@ of ``N(0, 1/(2m))``.  Convolving a loss ``rho`` with ``phi_m`` yields an
 infinitely differentiable surrogate ``rho_m`` whose first two derivatives
 stand in for the subgradient and the (generally distributional) second
 derivative of ``rho``.  For the three kink losses the convolution has a
-closed form in ``erf``/``Phi`` terms; an independent quadrature oracle is
-provided so the closed forms can be cross-checked numerically.
+closed form in ``erf``/``Phi`` terms.
 
 All evaluation functions are vectorized over ``u`` and are pure functions of
 their arguments, so they are safe to call from any number of threads.  The
@@ -35,7 +34,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erf, ndtr
@@ -313,93 +311,6 @@ def gap_bound(spec: LossSpec, m) -> float:
     of the smoothing kernel, E|N(0,1/(2m))| = 1/sqrt(pi m).
     """
     return spec.lipschitz / math.sqrt(math.pi * _as_m(m))
-
-
-def _kink_points(spec: LossSpec):
-    if spec.kind is LossKind.HUBER:
-        return (-spec.param, spec.param)
-    return (0.0,)
-
-
-class OracleResult(NamedTuple):
-    value: float
-    accuracy_warning: bool
-
-
-# Domain half-width for the substituted integral; exp(-13.5^2) ~ 1e-80.
-_ORACLE_SPAN = 13.5
-_MAX_PANEL_WIDTH = 4.0
-_LEGENDRE_CACHE: dict = {}
-
-
-def _gauss_legendre(nodes: int):
-    rule = _LEGENDRE_CACHE.get(nodes)
-    if rule is None:
-        rule = np.polynomial.legendre.leggauss(nodes)
-        _LEGENDRE_CACHE[nodes] = rule
-    return rule
-
-
-def _oracle_value(spec, m, u, order, nodes):
-    sm = math.sqrt(m)
-    # Orders 1 and 2 integrate the subgradient instead of the loss (one
-    # integration by parts): the Hermite-factor representation of rho*H_k
-    # multiplies node/weight noise by m^(k/2), which swamps the tiny true
-    # value of far-from-kink hessians at large m.
-    if order == 0:
-        integrand, hermite, prefactor = eval_loss, lambda y: np.ones_like(y), 1.0
-    elif order == 1:
-        integrand, hermite, prefactor = subgrad, lambda y: np.ones_like(y), 1.0
-    else:
-        integrand, hermite, prefactor = subgrad, lambda y: 2.0 * y, sm
-    # Split at the image of each loss kink so every segment is analytic.
-    cuts = [-_ORACLE_SPAN]
-    for k in _kink_points(spec):
-        yk = sm * (k - u)
-        if -_ORACLE_SPAN < yk < _ORACLE_SPAN:
-            cuts.append(yk)
-    cuts.append(_ORACLE_SPAN)
-    cuts.sort()
-    ref_x, ref_w = _gauss_legendre(nodes)
-    contribs = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        npanels = max(1, math.ceil((hi - lo) / _MAX_PANEL_WIDTH))
-        edges = np.linspace(lo, hi, npanels + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b - a)
-            y = 0.5 * (a + b) + half * ref_x
-            f = integrand(spec, u + y / sm) * hermite(y) * _gexp(-y * y)
-            contribs.append(half * ref_w * f)
-    # The signed node contributions cancel heavily; compensated summation
-    # keeps the (prefactor-amplified) result near 1 ulp.
-    total = math.fsum(np.concatenate(contribs))
-    return total * prefactor / _SQRT_PI
-
-
-def quadrature_oracle(spec: LossSpec, m, u: float, order: int, nodes: int = 128) -> OracleResult:
-    """Numerical value of the order-th derivative of rho_m at u.
-
-    Integrates the substituted convolution integral, e.g. for order 0
-    ``1/sqrt(pi) * int rho(u + y/sqrt(m)) exp(-y^2) dy``; orders 1 and 2 use
-    the once-by-parts form with the subgradient in place of the loss, which
-    keeps the conditioning independent of m.  A composite Gauss rule is
-    applied per smooth piece, splitting the domain at the images of the loss
-    kinks (a single global Gauss-Hermite rule cannot see the kinks and stalls
-    near 1e-3 accuracy).  ``nodes`` is the Gauss order per panel.  The tests
-    check the closed forms against it; the result carries an embedded
-    accuracy flag obtained by halving the node count.
-    """
-    _require_lipschitz(spec, "quadrature oracle")
-    if order not in (0, 1, 2):
-        raise ConfigurationError(f"derivative order must be 0, 1 or 2, got {order}")
-    if nodes < 32:
-        raise ConfigurationError(f"need at least 32 quadrature nodes, got {nodes}")
-    m = _as_m(m)
-    u = float(u)
-    value = _oracle_value(spec, m, u, order, nodes)
-    check = _oracle_value(spec, m, u, order, max(8, nodes // 2))
-    warn = abs(value - check) > 1e-9 * (1.0 + abs(value))
-    return OracleResult(value, warn)
 
 
 def kde_mollifier_order(residuals) -> MollifierOrder:

@@ -42,7 +42,6 @@ from mollifit.estimate import (
     estimate_a1,
     estimate_a2,
     fit,
-    quadratic_minimizer,
 )
 from mollifit.forecast import ForecastConfig, pseudo_r2, rolling_forecast, report_csv, run_forecast
 from mollifit.losses import (
@@ -56,7 +55,6 @@ from mollifit.losses import (
     mollified_eval,
     mollified_grad,
     mollified_hess,
-    quadrature_oracle,
     quantile_loss,
 )
 from mollifit.model import (
@@ -68,6 +66,7 @@ from mollifit.model import (
     regression_mean,
 )
 from mollifit.montecarlo import McConfig, rate_exponent, run_replications, summarize
+from oracles import quadratic_minimizer, quadrature_oracle
 
 Q3 = quantile_loss(0.3)
 HUB = huber_loss(1.25)

@@ -498,6 +498,22 @@ def test_loss_probe_cli(tmp_path):
                 "--grid=-1:1:0.5", "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_loss_probe_rejects_a_huge_or_unbounded_grid_before_making_it(
+    tmp_path, capsys, monkeypatch
+):
+    # A 10^12-point grid used to end in an uncaught MemoryError (exit 1).
+    def no_arange(*args, **kwargs):
+        raise AssertionError("the grid must be rejected before it is built")
+
+    monkeypatch.setattr(np, "arange", no_arange)
+    for grid in ("0:1e12:1", "-inf:1:1", "0:nan:1", "-1e308:1e308:1"):
+        capsys.readouterr()
+        assert run(["loss-probe", "--loss", "lad", "--m", "100", f"--grid={grid}",
+                    "--out", str(tmp_path / "p.csv")]) == 2, grid
+        assert "at most 1000000 points" in capsys.readouterr().err, grid
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -15,7 +15,6 @@ from mollifit.estimate import (
     fit,
     fit_many,
     infer,
-    quadratic_minimizer,
     stationary_covariance,
 )
 from mollifit.exceptions import (
@@ -50,6 +49,7 @@ from mollifit.model import (
     param_jacobian,
     regression_mean,
 )
+from oracles import quadratic_minimizer
 
 Q3 = quantile_loss(0.3)
 HUB = huber_loss(1.25)

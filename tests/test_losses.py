@@ -18,10 +18,10 @@ from mollifit.losses import (
     mollified_eval,
     mollified_grad,
     mollified_hess,
-    quadrature_oracle,
     quantile_loss,
     subgrad,
 )
+from oracles import _kink_points, quadrature_oracle
 
 Q3 = quantile_loss(0.3)
 HUB = huber_loss(1.25)
@@ -278,7 +278,7 @@ def _kernel_blocks():
     """(spec, m, u) whose kink windows are empty, partial and whole."""
     rng = np.random.default_rng(11)
     for spec in KINK_LOSSES:
-        kinks = np.array(losses._kink_points(spec))
+        kinks = np.array(_kink_points(spec))
         near = rng.choice(kinks, (3, 400))
         # Whole: wide smoothing around the kinks.
         yield spec, 1.0, near + rng.uniform(-0.5, 0.5, near.shape)
@@ -321,7 +321,7 @@ def test_windowed_kernels_equal_the_direct_closed_forms_bitwise(monkeypatch):
 
 def test_windowed_kernels_of_a_scalar_return_floats(monkeypatch):
     # A residual inside the window at m = 1e6 and others beyond it.
-    points = [(spec, k + du) for spec in KINK_LOSSES for k in losses._kink_points(spec)
+    points = [(spec, k + du) for spec in KINK_LOSSES for k in _kink_points(spec)
               for du in (0.0, 1e-4, -0.3, 3.0)]
     calls = (mollified_eval, mollified_grad, mollified_hess)
     got = [[call(spec, 1e6, u) for call in calls] for spec, u in points]
