@@ -35,7 +35,7 @@ from .dgp import (
     table_from_csv,
 )
 from .estimate import FitOptions, fit, infer
-from .exceptions import ConfigurationError, MollifitError
+from .exceptions import ConfigurationError, MollifitError, UndefinedRateError
 from .forecast import ForecastConfig, error_dump_csv, report_csv, run_forecast
 from .losses import (
     LAD,
@@ -441,7 +441,11 @@ def cmd_mc(args) -> int:
             for loss in table.loss_labels:
                 for law in table.law_tokens:
                     for n_a, n_b in zip(mc["n_list"][:-1], mc["n_list"][1:]):
-                        r = rate_exponent(table, pname.strip(), loss, law, (n_a, n_b))
+                        try:
+                            r = rate_exponent(table, pname.strip(), loss, law, (n_a, n_b))
+                        except UndefinedRateError:
+                            # A zero or missing MSE: nan, as the table writes an empty cell.
+                            r = float("nan")
                         extra.append(
                             f"rate:{pname.strip()},{loss},{law},{n_a}->{n_b},,,{r:.17g},,"
                         )

@@ -21,23 +21,26 @@ lockstep.  Each start's iteration is a generator (``_minimize_one``) that
 keeps only its control flow (rungs, budgets, the subgradient fallback, the
 stall rules) and yields its work as requests of two kinds: a Newton step
 (the start's parameters, residuals, smoothing order and exact-score flag)
-and a line search (parameters, step, objective to beat).  One loop
-(``_lockstep``) serves the requests of all live (fit, start) jobs of one
-sample size, each kind in one batched call per round, and owns the
+and a line search (parameters, step, objective to beat, smallest move).
+One loop (``_lockstep``) serves the requests of all live (fit, start) jobs
+of one sample size, each kind in one batched call per round, and owns the
 arithmetic: the step server computes the scores and weights of all steps on
 one (S, n) residual block, then (S, n, P) Jacobians and one batched solve;
 the search server advances every pending search by one block of trial
 points in one evaluation and resumes a start only when its search ends.  A
 search tries ``alpha = 1, d, d^2, ...`` (repeated multiplication by
 ``damping``) in blocks of rows that double in size, and takes the first row
-that lowers ``L_n``.  A budget of ``_BLOCK_ELEMENTS`` elements caps the
-(rows, n) trial blocks and the number of jobs per lockstep group, so at
-large n a fit runs one start and one trial at a time.  Each group stacks
-the regressors of its datasets once; a call whose rows all come from one
-dataset uses that dataset's own arrays, and a call that mixes datasets
-gathers its rows by index.  Every batched operation rounds as its one-start
-form, so each start follows its serial path bit for bit, and ``fit_many``
-returns for each dataset what ``fit`` returns alone.
+that lowers ``L_n``.  On every rung but the last it ends refused before a
+trial that would move the iterate by ``alpha * max|step|`` less than the
+rung's tolerance, since an accepted move that short would end the rung
+anyway; the rung then ends as a stall.  A budget of ``_BLOCK_ELEMENTS``
+elements caps the (rows, n) trial blocks and the number of jobs per
+lockstep group, so at large n a fit runs one start and one trial at a
+time.  Each group stacks the regressors of its datasets once; a call whose
+rows all come from one dataset uses that dataset's own arrays, and a call
+that mixes datasets gathers its rows by index.  Every batched operation
+rounds as its one-start form, so each start follows its serial path bit for
+bit, and ``fit_many`` returns for each dataset what ``fit`` returns alone.
 
 A Jacobian depends only on its dataset and iterate, so a round of steps at
 the datasets and iterates of the group's last Jacobian block (the first
@@ -382,9 +385,16 @@ def _minimize_one(opts, flat, e, L, m_target):
     work to :func:`_lockstep`, which sends the results back:
     ``("step", flat, e, m, exact)`` gets from :func:`_newton_steps` the
     Newton step of the order-``m`` smoothed score (of the exact subgradient
-    if ``exact``); ``("search", flat, delta, L, size)`` gets the line
+    if ``exact``); ``("search", flat, delta, L, size, floor)`` gets the line
     search's result from :func:`_search`.  A failed step or search is
     thrown in.  Returns the start's :class:`_StartOutcome`.
+
+    A rung ends when a step or an accepted move is shorter than its
+    tolerance, or when a search is refused (a stall).  On an annealing rung
+    a search's ``floor`` is that tolerance: a shorter move would end the
+    rung anyway, so the search is refused once only shorter moves are left.
+    On the final rung ``floor`` is 0 and a search tries all
+    ``_MAX_BACKTRACKS`` lengths.
     """
     smooth = opts.loss.kind is not LossKind.SQUARED_ERROR
     trace = [L]
@@ -396,6 +406,7 @@ def _minimize_one(opts, flat, e, L, m_target):
     for ri, m in enumerate(rungs):
         last = ri == len(rungs) - 1
         rung_tol = opts.tol if last else max(opts.tol, 0.03 / math.sqrt(2.0 * m))
+        floor = 0.0 if last else rung_tol
         budget = opts.max_iter - iters
         if not last:
             budget = min(budget, _RUNG_ITER_CAP)
@@ -408,7 +419,7 @@ def _minimize_one(opts, flat, e, L, m_target):
                 if last:
                     converged = True
                 break
-            found = yield "search", flat, delta, L, size
+            found = yield "search", flat, delta, L, size, floor
             if found is None and last and smooth and not accepted_any:
                 # A residual within a kernel width of a kink can tip the
                 # smoothed score uphill and leave the start where it is.  The
@@ -418,7 +429,7 @@ def _minimize_one(opts, flat, e, L, m_target):
                 # refused step is a stall and ends the search (see below).
                 exact = True
                 delta = yield "step", flat, e, m, exact
-                found = yield "search", flat, delta, L, size
+                found = yield "search", flat, delta, L, size, floor
             iters += 1
             if found is None:
                 stalled = True
@@ -482,7 +493,9 @@ class _Search:
     """A pending line search on ``flat + alpha*delta`` below the objective ``L``.
 
     ``data`` numbers its dataset in the group's :class:`_Regressors`; ``k``
-    trials are done and the next block asks for ``size`` rows.
+    trials are done and the next block asks for ``size`` rows.  A trial
+    moves the iterate by ``alpha * max|delta|``; the search ends, refused,
+    before the first trial that would move it by less than ``floor``.
     """
 
     data: int
@@ -490,6 +503,7 @@ class _Search:
     delta: np.ndarray
     L: float
     size: int
+    floor: float = 0.0
     k: int = 0
 
 
@@ -498,18 +512,25 @@ def _search(layout, loss, regs, searches, alphas):
 
     ``searches`` maps a job to its :class:`_Search`, which tries
     ``alpha = alphas[k], alphas[k+1], ...`` in blocks of ``size``,
-    ``2*size``, ... rows and takes the first row that lowers ``L``.  At
+    ``2*size``, ... rows and takes the first row that lowers ``L``.  Its
+    admissible lengths, those with ``alpha * max|delta| >= floor``, are a
+    prefix of ``alphas`` that holds at least ``alphas[k]``.  At
     most ``_BLOCK_ELEMENTS // n`` rows go in, shared out shortest block
     first and at least one row per block, so a long block may be cut to a
     prefix.  Returns, per job whose search ended: ``(row, residuals,
     objective, trials)`` at the first accepted row, ``trials`` counting it;
-    None when every trial is refused; or a
+    None when every admissible trial is refused; or a
     :class:`DegenerateParameterError` when a row that cannot be normalized
     comes first, as in a serial search.  The other searches advance in
     place.
     """
     pending = list(searches.values())
-    cut = [min(s.size, alphas.size - s.k) for s in pending]
+    # np.array stacks a list of equal-shape arrays as np.stack does, at a
+    # fraction of the call cost, which every round pays.
+    deltas = np.array([s.delta for s in pending])
+    moves = alphas * np.max(np.abs(deltas), axis=1)[:, None]
+    ends = np.count_nonzero(moves >= np.array([s.floor for s in pending])[:, None], axis=1).tolist()
+    cut = [min(s.size, end - s.k) for s, end in zip(pending, ends)]
     budget = _BLOCK_ELEMENTS // regs.n
     if sum(cut) > budget:
         for k, j in enumerate(sorted(range(len(cut)), key=cut.__getitem__)):
@@ -518,17 +539,14 @@ def _search(layout, loss, regs, searches, alphas):
     bounds = np.cumsum([0] + cut)
     owner = np.repeat(np.arange(len(pending)), cut)
     trial = np.arange(bounds[-1]) - np.repeat(bounds[:-1] - [s.k for s in pending], cut)
-    # np.array stacks a list of equal-shape arrays as np.stack does, at a
-    # fraction of the call cost, which every round pays.
     flats = np.array([s.flat for s in pending])
-    deltas = np.array([s.delta for s in pending])
     F = flats[owner] + alphas[trial, None] * deltas[owner]
     ok, E, Ls = _evaluate(layout, loss, regs, F, np.array([s.data for s in pending])[owner])
     stop = ~ok | (Ls < np.array([s.L for s in pending])[owner])
     first = np.minimum.reduceat(np.where(stop, np.arange(stop.size), stop.size), bounds[:-1])
     out = {}
-    ends = zip(searches.items(), bounds.tolist(), bounds[1:].tolist(), first.tolist(), cut)
-    for (i, s), a, b, r, n_cut in ends:
+    rounds = zip(searches.items(), bounds.tolist(), bounds[1:].tolist(), first.tolist(), cut, ends)
+    for (i, s), a, b, r, n_cut, end in rounds:
         if r < b:
             if ok[r]:
                 out[i] = F[r], E[r].copy(), float(Ls[r]), s.k + r - a + 1
@@ -537,7 +555,7 @@ def _search(layout, loss, regs, searches, alphas):
             continue
         s.k += n_cut
         s.size *= 2
-        if s.k == alphas.size:
+        if s.k == end:
             out[i] = None
     return out
 

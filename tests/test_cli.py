@@ -340,6 +340,22 @@ def test_mc_cli_shape_determinism_and_rates(tmp_path):
     assert mse_csv in md.read_text()
 
 
+def test_mc_writes_an_undefined_rate_as_nan(tmp_path):
+    # One iteration converges no replication, so every cell is empty and the
+    # rate has no MSE to divide.  The table is still written, the rate as nan
+    # as its cells are, and the command succeeds as it does without --rate.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"fit": {"max_iter": 1}}))
+    out = tmp_path / "t.csv"
+    code = run(["mc", "--config", str(cfg), "--example", "ex51", "--n", "50,100", "--reps", "2",
+                "--losses", "l1", "--laws", "d1", "--rate", "gamma1", "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[1].startswith("gamma1,huber:1.25,normal,50,nan,nan,nan,0,2")
+    assert lines[-1] == "rate:gamma1,huber:1.25,normal,50->100,,,nan,,"
+    assert (tmp_path / "t.csv.meta.json").exists()
+
+
 def test_mc_rejects_an_unknown_rate_parameter_before_running(tmp_path, capsys, monkeypatch):
     def no_run(config):
         raise AssertionError("the Monte Carlo ran")

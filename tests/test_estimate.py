@@ -806,6 +806,113 @@ def test_search_server_ends_each_search_in_its_own_round():
         np.testing.assert_array_equal(a, b)
 
 
+def _spied_fit(monkeypatch):
+    """An ex52 n = 200 LAD global fit, its line searches and evaluated rows recorded.
+
+    Returns the searches, each a dict of its ``flat``, ``delta``, objective
+    to beat ``L``, rung order ``m`` and tolerance ``tol``, whether the rung
+    is the ``final`` one, the ``reply`` and the ``next`` request of its
+    start; the evaluated rows, their bytes before normalization mapped to
+    ``(normalized, objective)``; and the step lengths.
+    """
+    searches, trials = [], {}
+    minimize, evaluate = estimate._minimize_one, estimate._evaluate
+
+    def minimize_spy(opts, flat, e, L, m_target):
+        gen = minimize(opts, flat, e, L, m_target)
+        answer, error, m, search = None, None, None, None
+        while True:
+            try:
+                request = gen.send(answer) if error is None else gen.throw(error)
+            except StopIteration as done:
+                return done.value
+            if search is not None:
+                search["next"] = request
+            search = None
+            if request[0] == "step":
+                m = request[3]
+            else:
+                # The rung tolerance, as _minimize_one sets it.
+                final = m == m_target
+                tol = opts.tol if final else max(opts.tol, 0.03 / math.sqrt(2.0 * m))
+                flat_s, delta, L_s = request[1:4]
+                search = dict(flat=flat_s, delta=delta, L=L_s, m=m, tol=tol, final=final)
+                searches.append(search)
+            try:
+                answer, error = (yield request), None
+            except Exception as err:
+                answer, error = None, err
+            if search is not None:
+                search["reply"] = answer if error is None else error
+
+    def evaluate_spy(layout, loss, regs, F, rows):
+        before = F.copy()
+        ok, E, Ls = evaluate(layout, loss, regs, F, rows)
+        for row, good, L in zip(before, ok, Ls):
+            trials[row.tobytes()] = bool(good), float(L)
+        return ok, E, Ls
+
+    monkeypatch.setattr(estimate, "_minimize_one", minimize_spy)
+    monkeypatch.setattr(estimate, "_evaluate", evaluate_spy)
+    data, spec, _ = gen_example("ex52", 200, ErrorLaw.T2, rng_for(1, 0))
+    opts = FitOptions(loss=LAD)
+    fit(spec, data, opts)
+    return searches, trials, estimate._alphas(opts.damping)
+
+
+def _trial_rows(search, alphas):
+    """The rows ``flat + alpha*delta`` of a search, each with ``alpha * max|delta|``."""
+    sup = float(np.max(np.abs(search["delta"])))
+    return [(search["flat"] + alpha * search["delta"], alpha * sup) for alpha in alphas]
+
+
+def test_an_annealing_rung_search_tries_no_move_below_the_rung_tolerance(monkeypatch):
+    # An accepted move shorter than an annealing rung's tolerance ends the
+    # rung anyway, so no such trial is evaluated there.  A row that rounds
+    # back to the iterate itself is left out: the start's evaluation and a
+    # later rung's search from the same iterate reach it too.
+    searches, trials, alphas = _spied_fit(monkeypatch)
+    short = tried = 0
+    for search in searches:
+        if search["final"]:
+            continue
+        here = search["flat"].tobytes()
+        for row, move in _trial_rows(search, alphas):
+            if move < search["tol"] and row.tobytes() != here:
+                short += 1
+                tried += row.tobytes() in trials
+    assert short > 0 and tried == 0
+
+
+def test_an_annealing_rung_ends_where_its_admissible_trials_are_refused(monkeypatch):
+    # A search whose trials down to the rung tolerance all fail to lower
+    # L_n is refused, and the next rung steps from the same iterate.
+    searches, trials, alphas = _spied_fit(monkeypatch)
+    ended = 0
+    for search in searches:
+        if search["final"]:
+            continue
+        admissible = [trials.get(row.tobytes()) for row, move in _trial_rows(search, alphas)
+                      if move >= search["tol"]]
+        if all(t is not None and t[0] and t[1] >= search["L"] for t in admissible):
+            ended += 1
+            assert search["reply"] is None
+            kind, flat, _, m, _ = search["next"]
+            assert kind == "step" and m > search["m"]
+            assert flat.tobytes() == search["flat"].tobytes()
+    assert ended > 0
+
+
+def test_a_final_rung_search_tries_every_step_length_before_refusing(monkeypatch):
+    # The final rung defines the fit, so its searches keep the whole sequence.
+    searches, trials, alphas = _spied_fit(monkeypatch)
+    refused = [s for s in searches if s["final"] and s["reply"] is None]
+    assert refused
+    for search in refused:
+        for row, _ in _trial_rows(search, alphas):
+            assert row.tobytes() in trials
+
+
 def test_lockstep_raises_the_error_of_the_first_failing_start(monkeypatch):
     # Job 2 fails in the first round and job 1 in the third; the others run
     # on to their outcomes, and a fit reports its first failing start.

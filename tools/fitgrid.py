@@ -42,8 +42,9 @@ bytes differ between two dumps, and exits 1 if there is any.  It then sums
 up the differences against the gates of a change that is not bitwise: the
 largest parameter move, the fits whose winning start or convergence flag
 flipped, the fits whose iteration count changed (with both counts), and the
-largest relative rise of the final objective L_n (the last entry of the
-descent trace).
+relative change of the final objective L_n (the last entry of the descent
+trace): how many fits it rose and fell by more than 1e-9 and how many it
+left equal, its median, its largest rise and its largest fall.
 
 ``cli`` runs ``mollifit mc`` and the 3-level ``mollifit forecast`` with the
 arguments of the benchmark's ``cli-batch`` workload (``bench/workloads.py``)
@@ -355,13 +356,13 @@ def compare(path_a: str, path_b: str) -> int:
 
 
 def summary(a, b) -> list[str]:
-    """Largest |delta params|, flipped start/convergence, changed iterations, largest L_n rise."""
+    """Largest |delta params|, flipped start/convergence, changed iterations, final L_n changes."""
     shared = set(a.files) & set(b.files)
 
     def pair(name):
         return (a[name], b[name]) if name in shared else (None, None)
 
-    moves, flips, iterations, rises = [], [], [], []
+    moves, flips, iterations, changes = [], [], [], []
     for fit in sorted({name.rsplit("/", 1)[0] for name in shared}):
         x, y = pair(f"{fit}/params")
         if x is not None and x.shape == y.shape:
@@ -376,15 +377,22 @@ def summary(a, b) -> list[str]:
         # Two traces may differ in length; only their final L_n counts.
         x, y = pair(f"{fit}/descent_trace")
         if x is not None and x.dtype.kind == y.dtype.kind == "f" and x.size and y.size:
-            rises.append(((y[-1] - x[-1]) / abs(x[-1]) if x[-1] else y[-1] - x[-1], fit))
-    top_move, top_rise = max(moves, default=None), max(rises, default=None)
+            changes.append(((y[-1] - x[-1]) / abs(x[-1]) if x[-1] else y[-1] - x[-1], fit))
+    top_move = max(moves, default=None)
+    top_rise, top_fall = max(changes, default=None), min(changes, default=None)
+    rel = np.array([c for c, _ in changes])
     return [
         "largest |delta params|: "
         + ("n/a" if top_move is None else f"{top_move[0]:.3g} ({top_move[1]})"),
         "start_index or converged flipped: " + (", ".join(flips) if flips else "none"),
         "iterations changed: " + (", ".join(iterations) if iterations else "none"),
+        f"final L_n of {rel.size} fits: {np.sum(rel > 1e-9)} rose and {np.sum(rel < -1e-9)} fell "
+        f"by more than 1e-9 relative, {np.sum(rel == 0)} equal; median relative change "
+        + ("n/a" if not rel.size else f"{np.median(rel):.3g}"),
         "largest relative rise of the final L_n: "
         + ("none" if top_rise is None or top_rise[0] <= 0 else f"{top_rise[0]:.3g} ({top_rise[1]})"),
+        "largest relative fall of the final L_n: "
+        + ("none" if top_fall is None or top_fall[0] >= 0 else f"{-top_fall[0]:.3g} ({top_fall[1]})"),
     ]
 
 
