@@ -27,6 +27,7 @@ from .dgp import (
     ErrorLaw,
     TrendKind,
     dataset_from_csv,
+    dataset_from_table,
     dataset_to_csv,
     example_model,
     gen_example,
@@ -470,18 +471,15 @@ def cmd_forecast(args) -> int:
             raise ConfigurationError("forecast needs at least one of --x-cols/--z-cols")
         model = ModelSpec(nonstat_links=nonstat, stat_links=stat,
                           d1=max(1, len(fc["x_cols"])), d2=max(1, len(fc["z_cols"])))
-    table, dates = table_from_csv(_read_text(args.data, "table"))
     config = ForecastConfig(
         window=fc["window"],
-        loss=opts["loss"],
         model=model,
-        x_cols=fc["x_cols"],
-        z_cols=fc["z_cols"],
-        y_col=fc["y_col"],
         fit_options=FitOptions(loss=opts["loss"], **opts["fit"]),
         quantile_levels=fc["quantiles"],
     )
-    reports = run_forecast(table, config, threads=fc["threads"])
+    table, dates = table_from_csv(_read_text(args.data, "table"))
+    data = dataset_from_table(table, fc["y_col"], fc["x_cols"], fc["z_cols"])
+    reports = run_forecast(data, config, threads=fc["threads"])
     _write_text(args.out, report_csv(reports))
     if args.dump:
         dump_dates = dates[fc["window"]:] if dates else None

@@ -64,6 +64,8 @@ class DgpConfig:
     quantile_recentering: float | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ConfigurationError(f"n must be at least 1, got {self.n}")
         self.rho1 = np.asarray(self.rho1, dtype=float)
         self.sigma1 = np.asarray(self.sigma1, dtype=float)
         self.rho2 = np.asarray(self.rho2, dtype=float)
@@ -350,6 +352,26 @@ def table_from_csv(text: str) -> tuple[dict[str, np.ndarray], list[str] | None]:
     return columns, dates
 
 
+def dataset_from_table(
+    table: dict[str, np.ndarray], y_col: str, x_cols: list[str], z_cols: list[str]
+) -> Dataset:
+    """The dataset of the named columns: y, then the X and Z blocks in order.
+
+    The names must be disjoint, and each must be a column of ``table``.  A
+    block without columns becomes one zero column.
+    """
+    names = [y_col, *x_cols, *z_cols]
+    if len(set(names)) != len(names):
+        raise ConfigurationError("y/x/z column names must be disjoint")
+    for name in names:
+        if name not in table:
+            raise ConfigurationError(f"input table has no column {name!r}")
+    n = len(table[y_col])
+    X, Z = (np.column_stack([table[c] for c in cols]) if cols else np.zeros((n, 1))
+            for cols in (x_cols, z_cols))
+    return Dataset(y=table[y_col], X=X, Z=Z)
+
+
 def dataset_from_csv(text: str) -> Dataset:
     """Build a dataset from a CSV with numeric columns y, x1..x<d1>, z1..z<d2>.
 
@@ -359,14 +381,9 @@ def dataset_from_csv(text: str) -> Dataset:
     columns, dates = table_from_csv(text)
     xs = [f"x{i + 1}" for i in range(sum(h.startswith("x") for h in columns))]
     zs = [f"z{i + 1}" for i in range(sum(h.startswith("z") for h in columns))]
-    names = ["y"] + xs + zs
-    if dates is not None or set(columns) != set(names):
+    if dates is not None or set(columns) != {"y", *xs, *zs}:
         raise ConfigurationError(
             "dataset columns must be numeric and named y, x1..x<d1>, z1..z<d2>; "
             f"numeric columns found: {list(columns)}"
         )
-    body = np.column_stack([columns[h] for h in names])
-    n, d1 = body.shape[0], len(xs)
-    X = body[:, 1 : 1 + d1] if xs else np.zeros((n, 1))
-    Z = body[:, 1 + d1 :] if zs else np.zeros((n, 1))
-    return Dataset(y=body[:, 0], X=X, Z=Z)
+    return dataset_from_table(columns, "y", xs, zs)

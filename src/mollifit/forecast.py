@@ -1,9 +1,11 @@
 """Rolling-window out-of-sample prediction with robust losses.
 
-Each forecast at time t fits the model on the ``window`` rows immediately
-before t and predicts row t; the benchmark is the loss-matched constant
-model (mean, median, tau-quantile or Huber location) fitted on the same
-window.  Performance is summarized by the pseudo out-of-sample R-squared,
+The rows of a :class:`~mollifit.model.Dataset` are the periods in time
+order.  Each forecast at time t fits the model on the ``window`` rows
+immediately before t and predicts row t, under the fit options' loss or
+each quantile level's; the benchmark is the loss-matched constant model
+(mean, median, tau-quantile or Huber location) fitted on the same window.
+Performance is summarized by the pseudo out-of-sample R-squared,
 ``1 - sum rho(model errors) / sum rho(benchmark errors)``, so positive
 values mean the model beats the constant benchmark.
 """
@@ -26,12 +28,8 @@ from .parallel import parallel_map
 @dataclass
 class ForecastConfig:
     window: int
-    loss: LossSpec
     model: ModelSpec
-    x_cols: list[str]
-    z_cols: list[str]
-    y_col: str
-    fit_options: FitOptions | None = None
+    fit_options: FitOptions
     quantile_levels: list[float] | None = None
 
     def __post_init__(self):
@@ -40,12 +38,8 @@ class ForecastConfig:
             raise ConfigurationError(
                 f"window must be at least {P + 5} for {P} parameters"
             )
-        if self.fit_options is not None:
-            # An order that overflows would fail every window's fit.
-            MollifierOrder.from_sample_size(self.window, self.fit_options.m_epsilon)
-        cols = [self.y_col] + list(self.x_cols) + list(self.z_cols)
-        if len(set(cols)) != len(cols):
-            raise ConfigurationError("y/x/z column names must be disjoint")
+        # An order that overflows would fail every window's fit.
+        MollifierOrder.from_sample_size(self.window, self.fit_options.m_epsilon)
         # A repeated level would fit every window again for the same row.
         levels = self.quantile_levels or []
         if len(set(levels)) < len(levels):
@@ -85,26 +79,6 @@ def constant_predictor(y: np.ndarray, loss: LossSpec) -> float:
     return float(brentq(score, lo, hi, xtol=1e-12))
 
 
-def _extract_columns(table: dict, config: ForecastConfig):
-    def col(name):
-        if name not in table:
-            raise ConfigurationError(f"input table has no column {name!r}")
-        return np.asarray(table[name], dtype=float)
-
-    y = col(config.y_col)
-    X = (
-        np.column_stack([col(c) for c in config.x_cols])
-        if config.x_cols
-        else np.zeros((y.size, 1))
-    )
-    Z = (
-        np.column_stack([col(c) for c in config.z_cols])
-        if config.z_cols
-        else np.zeros((y.size, 1))
-    )
-    return y, X, Z
-
-
 def _prediction(model: ModelSpec, res, x, z):
     """The fitted mean at one row, or None if the fit failed or it is not finite."""
     if isinstance(res, MollifitError):
@@ -120,7 +94,7 @@ def _options(task):
     return task[0]
 
 
-def _forecast_chunk(y, X, Z, config, tasks) -> list:
+def _forecast_chunk(data: Dataset, config, tasks) -> list:
     """(model error, benchmark error, fallback flag) per ``(opts, t)`` task.
 
     The tasks share one set of options, and their fits one :func:`fit_many`
@@ -129,6 +103,7 @@ def _forecast_chunk(y, X, Z, config, tasks) -> list:
     opts = _options(tasks[0])
     w = config.window
     ts = [t for _, t in tasks]
+    y, X, Z = data.y, data.X, data.Z
     windows = [Dataset(y=y[t - w : t], X=X[t - w : t], Z=Z[t - w : t]) for t in ts]
     out = []
     for t, window, res in zip(ts, windows, fit_many(config.model, windows, opts)):
@@ -139,24 +114,23 @@ def _forecast_chunk(y, X, Z, config, tasks) -> list:
     return out
 
 
-def _rolling_forecasts(table: dict, config: ForecastConfig, losses, threads: int):
+def _rolling_forecasts(data: Dataset, config: ForecastConfig, losses, threads: int):
     """``(pred_errors, bench_errors, fallback_count)`` per loss.
 
     Every (loss, window) fit is independent, so all of them go through one
     parallel map, cut into chunks within a loss; each error series is
     assembled in time order.
     """
-    y, X, Z = _extract_columns(table, config)
-    T = y.size
+    T = data.n
     w = config.window
     if T <= w:
         raise ConfigurationError(f"need more than window={w} rows, got {T}")
     tasks = []
     for loss in losses:
-        opts = replace(config.fit_options or FitOptions(loss=loss), loss=loss)
+        opts = replace(config.fit_options, loss=loss)
         tasks.extend((opts, t) for t in range(w, T))
     rows = parallel_map(
-        partial(_forecast_chunk, y, X, Z, config), tasks, threads, key=_options
+        partial(_forecast_chunk, data, config), tasks, threads, key=_options
     )
     out = []
     for k in range(len(losses)):
@@ -171,16 +145,15 @@ def _rolling_forecasts(table: dict, config: ForecastConfig, losses, threads: int
     return out
 
 
-def rolling_forecast(table: dict, config: ForecastConfig, threads: int = 1):
-    """One-step-ahead rolling forecasts over the usable rows.
+def rolling_forecast(data: Dataset, config: ForecastConfig, threads: int = 1):
+    """One-step-ahead rolling forecasts of ``data``, under the fit options' loss.
 
-    ``table`` maps column names to equal-length sequences.  Returns
-    ``(pred_errors, bench_errors, fallback_count)``; a window whose model
+    Returns ``(pred_errors, bench_errors, fallback_count)``; a window whose model
     fit fails falls back to the benchmark forecast and is counted.  Window
     fits are independent, so they may run on several workers; the error
     series is assembled in time order either way.
     """
-    return _rolling_forecasts(table, config, [config.loss], threads)[0]
+    return _rolling_forecasts(data, config, [config.fit_options.loss], threads)[0]
 
 
 def pseudo_r2(pred_errors, bench_errors, loss: LossSpec) -> float:
@@ -201,15 +174,15 @@ def pseudo_r2(pred_errors, bench_errors, loss: LossSpec) -> float:
     return 1.0 - float(np.sum(eval_loss(loss, pred_errors))) / denom
 
 
-def run_forecast(table: dict, config: ForecastConfig, threads: int = 1) -> list[ForecastReport]:
-    """Forecast reports for the configured loss or each quantile level."""
+def run_forecast(data: Dataset, config: ForecastConfig, threads: int = 1) -> list[ForecastReport]:
+    """Forecast reports for the fit options' loss or each quantile level."""
     if config.quantile_levels:
         losses = [LossSpec(LossKind.QUANTILE, tau) for tau in config.quantile_levels]
     else:
-        losses = [config.loss]
+        losses = [config.fit_options.loss]
     reports = []
     for loss, (pred, bench, fb) in zip(
-        losses, _rolling_forecasts(table, config, losses, threads)
+        losses, _rolling_forecasts(data, config, losses, threads)
     ):
         reports.append(
             ForecastReport(

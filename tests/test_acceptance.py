@@ -396,17 +396,14 @@ def _signal_panel(seed, T=70):
     rng = np.random.default_rng(9000 + seed)
     Z = rng.standard_normal((T, 2))
     y = Z @ np.array([2.0, 1.0]) + 0.2 * rng.standard_normal(T)
-    return {"y": y, "z1": Z[:, 0], "z2": Z[:, 1]}
+    return Dataset(y=y, X=np.zeros((T, 1)), Z=Z)
 
 
 def _forecast_cfg(window=30):
     return ForecastConfig(
         window=window,
-        loss=SQUARED_ERROR,
         model=ModelSpec((), (IDENTITY,), 1, 2),
-        x_cols=[],
-        z_cols=["z1", "z2"],
-        y_col="y",
+        fit_options=FitOptions(loss=SQUARED_ERROR),
     )
 
 
@@ -415,16 +412,12 @@ def test_criterion_09_forecast_sanity():
     # Perfect foresight: exact linear signal, zero noise.
     rng = np.random.default_rng(77)
     Z = rng.standard_normal((70, 2))
-    perfect = {"y": Z @ np.array([2.0, 1.0]), "z1": Z[:, 0], "z2": Z[:, 1]}
+    perfect = Dataset(y=Z @ np.array([2.0, 1.0]), X=np.zeros((70, 1)), Z=Z)
     pred, bench, _ = rolling_forecast(perfect, _forecast_cfg())
     pr2_perfect = pseudo_r2(pred, bench, SQUARED_ERROR)
 
     # Benchmark-equal: constant regressors collapse the model to the mean.
-    flat = {
-        "y": rng.standard_normal(70),
-        "z1": np.ones(70),
-        "z2": np.ones(70),
-    }
+    flat = Dataset(y=rng.standard_normal(70), X=np.zeros((70, 1)), Z=np.ones((70, 2)))
     pred_f, bench_f, _ = rolling_forecast(flat, _forecast_cfg())
     pr2_flat = pseudo_r2(pred_f, bench_f, SQUARED_ERROR)
 

@@ -276,7 +276,8 @@ def test_forecast_rejects_a_repeated_column_name(tmp_path, capsys):
     x = rng.standard_normal((60, 2))
     y = 2.0 * x[:, 0] + 0.1 * rng.standard_normal(60)
     data = tmp_path / "panel.csv"
-    data.write_text("y,x,x\n" + "".join(f"{y[i]!r},{x[i, 0]!r},{x[i, 1]!r}\n" for i in range(60)))
+    data.write_text("y,x,x\n" + "".join(f"{y[i]:.17g},{x[i, 0]:.17g},{x[i, 1]:.17g}\n"
+                                         for i in range(60)))
     capsys.readouterr()
     assert run(["forecast", "--data", str(data), "--window", "40", "--loss", "se",
                 "--x-cols", "x", "--out", str(tmp_path / "r.csv")]) == 2
@@ -293,13 +294,55 @@ def test_forecast_rejects_repeated_quantile_levels(tmp_path, capsys, monkeypatch
     Z = rng.standard_normal((50, 2))
     y = Z @ np.array([2.0, 1.0]) + 0.1 * rng.standard_normal(50)
     data = tmp_path / "panel.csv"
-    data.write_text("y,z1,z2\n" + "".join(f"{y[i]!r},{Z[i, 0]!r},{Z[i, 1]!r}\n" for i in range(50)))
+    data.write_text("y,z1,z2\n" + "".join(f"{y[i]:.17g},{Z[i, 0]:.17g},{Z[i, 1]:.17g}\n"
+                                          for i in range(50)))
     capsys.readouterr()
     out = tmp_path / "r.csv"
     code = run(["forecast", "--data", str(data), "--window", "30", "--loss", "quantile:0.5",
                 "--z-cols", "z1,z2", "--quantiles", "0.25,0.5,0.5", "--out", str(out)])
     assert code == 2
     assert "quantile levels must be distinct, got 0.25, 0.5, 0.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _write_panel(path, rows):
+    path.write_text("y,z1,z2\n" + "".join(",".join(f"{v:.17g}" for v in r) + "\n" for r in rows))
+
+
+def _panel_rows(T=60):
+    rng = np.random.default_rng(4)
+    Z = rng.standard_normal((T, 2))
+    y = Z @ np.array([1.0, -0.5]) + 0.2 * rng.standard_normal(T)
+    return np.column_stack([y, Z])
+
+
+@pytest.mark.parametrize("row, col, value", [(59, 0, np.nan), (59, 0, np.inf),
+                                              (59, 1, np.nan), (30, 0, np.nan)])
+def test_forecast_rejects_a_non_finite_value_in_any_row(tmp_path, capsys, row, col, value):
+    # The last row is never inside a window, so a value there used to pass:
+    # a nan pr2 for y, a silent fallback for z1.
+    rows = _panel_rows()
+    rows[row, col] = value
+    data = tmp_path / "panel.csv"
+    _write_panel(data, rows)
+    capsys.readouterr()
+    out = tmp_path / "r.csv"
+    assert run(["forecast", "--data", str(data), "--window", "30", "--z-cols", "z1,z2",
+                "--loss", "lad", "--out", str(out)]) == 2
+    assert "non-finite entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("z_cols, message", [("z1,z3", "input table has no column 'z3'"),
+                                             ("z1,y", "y/x/z column names must be disjoint")])
+def test_forecast_rejects_a_missing_or_repeated_column(tmp_path, capsys, z_cols, message):
+    data = tmp_path / "panel.csv"
+    _write_panel(data, _panel_rows())
+    capsys.readouterr()
+    out = tmp_path / "r.csv"
+    assert run(["forecast", "--data", str(data), "--window", "30", "--z-cols", z_cols,
+                "--loss", "lad", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -601,6 +644,16 @@ def test_simulate_lin_proc_coeffs_take_effect_and_echo(tmp_path):
     code, echoed = _simulate_config(tmp_path, "echo", meta["resolved_config"])
     assert code == 0
     assert echoed.read_bytes() == tapped.read_bytes()
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_simulate_rejects_a_sample_size_below_one(tmp_path, capsys, n):
+    # --n 0 wrote a header-only CSV and a sidecar holding NaN, which is not JSON.
+    capsys.readouterr()
+    code, out = _simulate_config(tmp_path, "empty", _generic_sim_config(), ["--n", str(n)])
+    assert code == 2
+    assert f"n must be at least 1, got {n}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("empty.csv*"))
 
 
 def test_simulate_rejects_bad_lin_proc_coeffs(tmp_path, capsys):

@@ -10,6 +10,7 @@ from mollifit.dgp import (
     ErrorLaw,
     TrendKind,
     dataset_from_csv,
+    dataset_from_table,
     dataset_to_csv,
     gen_errors,
     gen_example,
@@ -306,3 +307,14 @@ def test_table_rejects_repeated_column_names():
         table_from_csv("y,x,x\n1,2,3\n4,5,6\n")
     with pytest.raises(ConfigurationError, match="repeated"):
         dataset_from_csv("y,x1,z1,x1\n1,2,3,4\n")
+
+
+def test_dataset_from_table_gives_an_empty_block_one_zero_column():
+    table = {"y": np.array([1.0, 2.0, 3.0]), "a": np.array([4.0, 5.0, 6.0])}
+    data = dataset_from_table(table, "y", [], ["a"])
+    assert data.X.shape == (3, 1)
+    np.testing.assert_array_equal(data.X, 0.0)
+    np.testing.assert_array_equal(data.Z[:, 0], table["a"])
+    data = dataset_from_table(table, "y", ["a"], [])
+    assert data.Z.shape == (3, 1)
+    np.testing.assert_array_equal(data.Z, 0.0)

@@ -10,7 +10,7 @@ from mollifit.dgp import ErrorLaw
 from mollifit.estimate import FitOptions
 from mollifit.forecast import ForecastConfig, run_forecast
 from mollifit.losses import LAD, huber_loss, quantile_loss
-from mollifit.model import IDENTITY, ModelSpec
+from mollifit.model import IDENTITY, Dataset, ModelSpec
 from mollifit.montecarlo import McConfig, run_replications
 from mollifit.parallel import parallel_map
 
@@ -160,11 +160,9 @@ def test_harnesses_compute_no_inference(monkeypatch):
     ))
     rng = np.random.default_rng(2)
     Z = rng.standard_normal((36, 2))
-    table = {"y": Z @ [1.0, -0.5] + 0.3 * rng.standard_normal(36),
-             "z1": Z[:, 0], "z2": Z[:, 1]}
-    run_forecast(table, ForecastConfig(
-        window=30, loss=hub, model=ModelSpec((), (IDENTITY,), 1, 2),
-        x_cols=[], z_cols=["z1", "z2"], y_col="y",
+    data = Dataset(y=Z @ [1.0, -0.5] + 0.3 * rng.standard_normal(36), X=np.zeros((36, 1)), Z=Z)
+    run_forecast(data, ForecastConfig(
+        window=30, model=ModelSpec((), (IDENTITY,), 1, 2), fit_options=FitOptions(loss=hub),
     ), threads=1)
     assert calls == []
 
@@ -184,13 +182,11 @@ def test_monte_carlo_opens_one_pool(pools):
 def test_quantile_forecast_opens_one_pool(pools):
     rng = np.random.default_rng(2)
     Z = rng.standard_normal((40, 2))
-    table = {"y": Z @ [1.0, -0.5] + 0.3 * rng.standard_normal(40),
-             "z1": Z[:, 0], "z2": Z[:, 1]}
+    data = Dataset(y=Z @ [1.0, -0.5] + 0.3 * rng.standard_normal(40), X=np.zeros((40, 1)), Z=Z)
     config = ForecastConfig(
-        window=30, loss=quantile_loss(0.5), model=ModelSpec((), (IDENTITY,), 1, 2),
-        x_cols=[], z_cols=["z1", "z2"], y_col="y",
-        quantile_levels=[0.25, 0.5, 0.75],
+        window=30, model=ModelSpec((), (IDENTITY,), 1, 2),
+        fit_options=FitOptions(loss=quantile_loss(0.5)), quantile_levels=[0.25, 0.5, 0.75],
     )
-    reports = run_forecast(table, config, threads=2)
+    reports = run_forecast(data, config, threads=2)
     assert [r.n_forecasts for r in reports] == [10, 10, 10]
     assert pools == [2]

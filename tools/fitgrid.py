@@ -53,6 +53,9 @@ two of the workload's panels of each seed.  It then runs the commands that
 reach the two root-finds: ``simulate`` and a small ``mc`` with
 mixed-normal errors and the quantile loss (the mixed-normal quantile), and
 ``forecast --loss huber:1.25`` on seed 1's first panel (the Huber location).
+Two LAD forecasts on that panel follow, one with only a z block
+(``--z-cols z1,z2``) and one with only an x block (``--x-cols x1,x2``), so
+the reader's zero column for a block without columns is compared too.
 Last come three ``fit`` commands on simulated n = 200 data: ex51 with
 ``huber:1.25``, ex52 with ``lad``, and a config model with no stationary
 block on the ex51 data.  Then ``loss-probe`` tabulates ``lad``,
@@ -265,7 +268,8 @@ def cli(out_dir: str) -> int:
             failed += [" ".join(argv) for argv in argvs if mollifit(argv) != 0]
     # The two root-finds: the mixed-normal quantile (simulate, and mc's
     # quantile loss under law d2) and the Huber location (forecast's
-    # constant benchmark).
+    # constant benchmark); then forecasts with only a z block and only an
+    # x block, whose other block is the reader's zero column.
     argvs = [
         ["simulate", "--seed", "1", "--example", "ex51", "--n", "200", "--law", "d2",
          "--recenter-tau", "0.3", "--out", str(out / "simulate-d2.csv")],
@@ -275,6 +279,10 @@ def cli(out_dir: str) -> int:
          "--x-cols", "x1,x2", "--z-cols", "z1,z2", "--y-col", "y", "--loss", "huber:1.25",
          "--threads", "1", "--out", str(out / "forecast-huber.csv"),
          "--dump", str(out / "forecast-huber.csv.dump")],
+        *(["forecast", "--data", str(out / "panel-s1-0.csv"), "--window", str(workloads.WINDOW),
+           f"--{block}-cols", f"{block}1,{block}2", "--loss", "lad", "--threads", "1",
+           "--out", str(out / f"forecast-{block}only.csv"),
+           "--dump", str(out / f"forecast-{block}only.csv.dump")] for block in ("z", "x")),
     ]
     # fit writes the inference of infer into its JSON.
     nostat = out / "fit-nostat-config.json"
