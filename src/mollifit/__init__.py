@@ -41,7 +41,6 @@ from .losses import (
     SQUARED_ERROR,
     LossKind,
     LossSpec,
-    MollifierOrder,
     eval_loss,
     gap_bound,
     huber_loss,
@@ -50,6 +49,7 @@ from .losses import (
     mollified_grad,
     mollified_hess,
     quantile_loss,
+    sample_size_order,
     subgrad,
 )
 from .model import (

@@ -36,13 +36,12 @@ from .dgp import (
     table_from_csv,
 )
 from .estimate import FitOptions, fit, infer
-from .exceptions import ConfigurationError, MollifitError, UndefinedRateError
+from .exceptions import ConfigurationError, MollifitError
 from .forecast import ForecastConfig, error_dump_csv, report_csv, run_forecast
 from .losses import (
     LAD,
     LossKind,
     LossSpec,
-    MollifierOrder,
     eval_loss,
     gap_bound,
     mollified_eval,
@@ -58,7 +57,7 @@ from .model import (
     power_link,
     regression_mean,
 )
-from .montecarlo import McConfig, rate_exponent, run_replications, summarize
+from .montecarlo import McConfig, run_replications, summarize
 
 BUILD_ID = f"mollifit {__version__}"
 
@@ -426,34 +425,24 @@ def cmd_mc(args) -> int:
         # Every mc key but the two that shape the table is a McConfig field.
         **{key: value for key, value in mc.items() if key not in ("scale", "rate_params")},
     )
+    rate_params = [p.strip() for p in mc["rate_params"]]
     names = ParamLayout(example_model(config.example)[0]).param_names()
-    unknown = [p for p in mc["rate_params"] if p.strip() not in names]
+    unknown = [p for p in rate_params if p not in names]
     if unknown:
         raise ConfigurationError(
             f"mc.rate_params: {', '.join(unknown)} not a parameter of {config.example} "
             f"(one of {', '.join(names)})"
         )
+    if rate_params and len(config.n_list) < 2:
+        raise ConfigurationError(
+            "mc.rate_params: a rate needs at least two sample sizes in mc.n_list, "
+            f"got {len(config.n_list)}"
+        )
     print(f"mc: {json.dumps(mc, default=_json_value)}", file=sys.stderr)
     table = run_replications(config)
-    text = summarize(table, "csv", scale=mc["scale"])
-    if mc["rate_params"]:
-        extra = []
-        for pname in mc["rate_params"]:
-            for loss in table.loss_labels:
-                for law in table.law_tokens:
-                    for n_a, n_b in zip(mc["n_list"][:-1], mc["n_list"][1:]):
-                        try:
-                            r = rate_exponent(table, pname.strip(), loss, law, (n_a, n_b))
-                        except UndefinedRateError:
-                            # A zero or missing MSE: nan, as the table writes an empty cell.
-                            r = float("nan")
-                        extra.append(
-                            f"rate:{pname.strip()},{loss},{law},{n_a}->{n_b},,,{r:.17g},,"
-                        )
-        text = text + "\n".join(extra) + "\n"
-    _write_text(args.out, text)
-    if args.markdown:
-        _write_text(args.markdown, summarize(table, "markdown", scale=mc["scale"]))
+    for path, fmt in ((args.out, "csv"), (args.markdown, "markdown")):
+        if path:
+            _write_text(path, summarize(table, fmt, mc["scale"], rate_params))
     _write_sidecar(args.out, opts)
     return 0
 
@@ -479,6 +468,8 @@ def cmd_forecast(args) -> int:
     )
     table, dates = table_from_csv(_read_text(args.data, "table"))
     data = dataset_from_table(table, fc["y_col"], fc["x_cols"], fc["z_cols"])
+    # A model that does not fit the columns would fail every window's fit.
+    ParamLayout(model).check_widths(data.X, data.Z)
     reports = run_forecast(data, config, threads=fc["threads"])
     _write_text(args.out, report_csv(reports))
     if args.dump:
@@ -509,16 +500,15 @@ def cmd_loss_probe(args) -> int:
         raise ConfigurationError(
             f"grid must have finite bounds and at most {_MAX_PROBE_POINTS} points"
         )
-    m_list = [float(v) for v in args.m.split(",")]
+    m_list = _checked(lambda text: [float(v) for v in text.split(",")], args.m, "--m")
     grid = np.arange(lo, hi + 0.5 * step, step)
     lines = ["u,rho,rho_m,rho_m_prime,rho_m_second,gap,gap_bound"]
     for m in m_list:
-        order = MollifierOrder(m)
-        bound = gap_bound(loss, order)
+        bound = gap_bound(loss, m)
         rho = eval_loss(loss, grid)
-        rho_m = mollified_eval(loss, order, grid)
-        rho_p = mollified_grad(loss, order, grid)
-        rho_pp = mollified_hess(loss, order, grid)
+        rho_m = mollified_eval(loss, m, grid)
+        rho_p = mollified_grad(loss, m, grid)
+        rho_pp = mollified_hess(loss, m, grid)
         for i, u in enumerate(grid):
             gap = abs(rho_m[i] - rho[i])
             lines.append(

@@ -78,10 +78,10 @@ from .exceptions import (
 from .losses import (
     LossKind,
     LossSpec,
-    MollifierOrder,
     eval_loss,
     mollified_grad,
     mollified_hess,
+    sample_size_order,
     subgrad,
 )
 from .model import (
@@ -750,7 +750,7 @@ def infer(model: ModelSpec, data: Dataset, result: FitResult, loss: LossSpec) ->
     """
     res = result.residuals
     a1 = estimate_a1(res, loss)
-    a2 = estimate_a2(res, loss, MollifierOrder(result.mollifier_m))
+    a2 = estimate_a2(res, loss, result.mollifier_m)
     sigma_hat = None
     stat_cov = None
     if model.p2 > 0:
@@ -781,7 +781,7 @@ def fit_many(model: ModelSpec, datasets, opts: FitOptions) -> list:
             if data.n < min_rows:
                 raise ShapeError(f"need n >= {min_rows} rows for this model, got {data.n}")
             plans[k] = (
-                MollifierOrder.from_sample_size(data.n, opts.m_epsilon).m,
+                sample_size_order(data.n, opts.m_epsilon),
                 _build_starts(layout, data, n_starts, opts.init_params),
             )
         except MollifitError as err:

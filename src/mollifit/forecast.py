@@ -20,7 +20,7 @@ import numpy as np
 # fit stays a module attribute for bench/tracing.py, which wraps it here.
 from .estimate import FitOptions, fit, fit_many  # noqa: F401
 from .exceptions import ConfigurationError, MollifitError
-from .losses import LossKind, LossSpec, MollifierOrder, eval_loss, subgrad
+from .losses import LossKind, LossSpec, eval_loss, sample_size_order, subgrad
 from .model import Dataset, ModelSpec, ParamLayout, regression_mean
 from .parallel import parallel_map
 
@@ -39,7 +39,7 @@ class ForecastConfig:
                 f"window must be at least {P + 5} for {P} parameters"
             )
         # An order that overflows would fail every window's fit.
-        MollifierOrder.from_sample_size(self.window, self.fit_options.m_epsilon)
+        sample_size_order(self.window, self.fit_options.m_epsilon)
         # A repeated level would fit every window again for the same row.
         levels = self.quantile_levels or []
         if len(set(levels)) < len(levels):

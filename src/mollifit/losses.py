@@ -7,6 +7,10 @@ stand in for the subgradient and the (generally distributional) second
 derivative of ``rho``.  For the three kink losses the convolution has a
 closed form in ``erf``/``Phi`` terms.
 
+An order is a plain float, finite and at least 1: :func:`sample_size_order`
+gives a fit's m = floor(n^(2+eps)), :func:`kde_mollifier_order` one matched
+to a density bandwidth.
+
 All evaluation functions are vectorized over ``u`` and are pure functions of
 their arguments, so they are safe to call from any number of threads.  The
 smoothed loss and its derivatives also take an array of orders ``m`` that
@@ -118,33 +122,21 @@ def huber_loss(c: float) -> LossSpec:
     return LossSpec(LossKind.HUBER, c)
 
 
-@dataclass(frozen=True)
-class MollifierOrder:
-    """Index of the smoothing sequence; larger means less smoothing."""
-
-    m: float
-
-    def __post_init__(self):
-        _as_m(self.m)
-
-    @staticmethod
-    def from_sample_size(n: int, epsilon: float = 0.1) -> "MollifierOrder":
-        """Sample-size rule m = floor(n^(2+epsilon)), epsilon > 0."""
-        if not epsilon > 0.0:
-            raise ConfigurationError("epsilon must be positive")
-        try:
-            m = float(math.floor(n ** (2.0 + epsilon)))
-        except OverflowError:
-            raise ConfigurationError(
-                f"mollifier order n^(2+epsilon) overflows at n={n}, epsilon={epsilon!r}"
-            ) from None
-        return MollifierOrder(m)
+def sample_size_order(n: int, epsilon: float = 0.1) -> float:
+    """Sample-size rule m = floor(n^(2+epsilon)), epsilon > 0."""
+    if not epsilon > 0.0:
+        raise ConfigurationError("epsilon must be positive")
+    try:
+        m = float(math.floor(n ** (2.0 + epsilon)))
+    except OverflowError:
+        raise ConfigurationError(
+            f"mollifier order n^(2+epsilon) overflows at n={n}, epsilon={epsilon!r}"
+        ) from None
+    return _as_m(m)
 
 
 def _as_m(m):
     """The order as a float, or an array of orders as a float array."""
-    if isinstance(m, MollifierOrder):
-        return m.m
     m = np.asarray(m, dtype=float) if np.ndim(m) else float(m)
     # An infinite order makes the smoothed curvature inf * 0 = NaN at u = 0.
     if not np.all(np.isfinite(m) & (m >= 1.0)):
@@ -313,7 +305,7 @@ def gap_bound(spec: LossSpec, m) -> float:
     return spec.lipschitz / math.sqrt(math.pi * _as_m(m))
 
 
-def kde_mollifier_order(residuals) -> MollifierOrder:
+def kde_mollifier_order(residuals) -> float:
     """Smoothing order matched to a Silverman-type density bandwidth.
 
     The second-derivative average of a kink loss is a kernel density value
@@ -330,4 +322,4 @@ def kde_mollifier_order(residuals) -> MollifierOrder:
     if scale <= 0:
         scale = max(abs(float(np.mean(r))), 1e-8)
     h = 1.06 * scale * r.size ** (-0.2)
-    return MollifierOrder(max(1.0, 0.5 / (h * h)))
+    return _as_m(max(1.0, 0.5 / (h * h)))

@@ -2,7 +2,8 @@
 
 Produces bias / standard deviation / mean-squared-error tables per
 (parameter, loss, error law, sample size) cell and empirical MSE decay
-exponents across sample sizes.
+exponents across sample sizes; :func:`summarize` renders both, the cells
+and then the rates, as one CSV or markdown table.
 
 Reproducibility contract: every (cell, replication) pair draws from its own
 substream of the base seed, so the table is byte-identical for a given
@@ -26,7 +27,7 @@ from .dgp import ErrorLaw, example_model, gen_example, rng_for
 # fit stays a module attribute for bench/tracing.py, which wraps it here.
 from .estimate import FitOptions, fit, fit_many  # noqa: F401
 from .exceptions import ConfigurationError, MollifitError, UndefinedRateError
-from .losses import LossKind, LossSpec, MollifierOrder
+from .losses import LossKind, LossSpec, sample_size_order
 from .model import ParamLayout
 from .parallel import parallel_map
 
@@ -50,7 +51,7 @@ class McConfig:
         if not self.n_list or any(a >= b for a, b in zip(self.n_list, self.n_list[1:])):
             raise ConfigurationError("n_list must be non-empty and strictly ascending")
         # An order that overflows at the largest n would fail each of its fits.
-        MollifierOrder.from_sample_size(self.n_list[-1], self.fit_options.m_epsilon)
+        sample_size_order(self.n_list[-1], self.fit_options.m_epsilon)
         if not self.losses or not self.laws:
             raise ConfigurationError("need at least one loss and one error law")
         labels = [loss.label() for loss in self.losses]
@@ -177,25 +178,30 @@ def rate_exponent(table: McTable, param: str, loss: str, law: str, n_pair) -> fl
 CSV_HEADER = "param,loss,law,n,bias,sd,mse,reps_used,failures"
 
 
-def _iter_rows(table: McTable):
-    for pname in table.param_names:
+def _keys(table: McTable, params, sizes):
+    """(param, loss, law, size) for each of ``params`` and ``sizes``, in table order."""
+    for pname in params:
         for loss in table.loss_labels:
             for law in table.law_tokens:
-                for n in table.n_list:
-                    yield pname, loss, law, n, table.get(pname, loss, law, n)
+                for size in sizes:
+                    yield pname, loss, law, size
 
 
-def summarize(table: McTable, format: str = "csv", scale: float = 1.0) -> str:
+def summarize(table: McTable, format: str = "csv", scale: float = 1.0, rate_params=()) -> str:
     """Render the table deterministically as CSV or markdown.
 
     ``scale`` multiplies the bias, sd and mse columns (e.g. 100 to match a
-    "values x 10^2" table convention).  The two formats carry identical
-    numbers.
+    "values x 10^2" table convention).  After the cells come the MSE decay
+    exponents of each of ``rate_params`` per loss, law and consecutive pair
+    of sample sizes, as rows ``rate:<param>,<loss>,<law>,<a>-><b>`` with the
+    unscaled rate in the mse column (nan where it is undefined).  The two
+    formats carry identical numbers.
     """
     if not table.cells:
         raise ConfigurationError("cannot summarize an empty table")
     rows = []
-    for pname, loss, law, n, cell in _iter_rows(table):
+    for pname, loss, law, n in _keys(table, table.param_names, table.n_list):
+        cell = table.get(pname, loss, law, n)
         rows.append(
             (
                 pname, loss, law, str(n),
@@ -206,6 +212,14 @@ def summarize(table: McTable, format: str = "csv", scale: float = 1.0) -> str:
                 str(cell.failures),
             )
         )
+    pairs = list(zip(table.n_list, table.n_list[1:]))
+    for pname, loss, law, (n_a, n_b) in _keys(table, rate_params, pairs):
+        try:
+            r = rate_exponent(table, pname, loss, law, (n_a, n_b))
+        except UndefinedRateError:
+            # A zero or missing MSE: nan, as the table writes an empty cell.
+            r = float("nan")
+        rows.append((f"rate:{pname}", loss, law, f"{n_a}->{n_b}", "", "", f"{r:.17g}", "", ""))
     if format == "csv":
         return "\n".join([CSV_HEADER] + [",".join(r) for r in rows]) + "\n"
     if format == "markdown":

@@ -47,7 +47,6 @@ from mollifit.forecast import ForecastConfig, pseudo_r2, rolling_forecast, repor
 from mollifit.losses import (
     LAD,
     SQUARED_ERROR,
-    MollifierOrder,
     eval_loss,
     gap_bound,
     huber_loss,
@@ -56,6 +55,7 @@ from mollifit.losses import (
     mollified_grad,
     mollified_hess,
     quantile_loss,
+    sample_size_order,
 )
 from mollifit.model import (
     Dataset,
@@ -248,7 +248,7 @@ def test_criterion_05_nuisance_consistency():
     a1_q = estimate_a1(e_q, Q3)
 
     e_h = rng.standard_normal(5000)
-    a2_h = estimate_a2(e_h, HUB, MollifierOrder.from_sample_size(5000))
+    a2_h = estimate_a2(e_h, HUB, sample_size_order(5000))
     from scipy.special import ndtr
 
     target_h = 2 * ndtr(1.25) - 1

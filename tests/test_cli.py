@@ -346,6 +346,21 @@ def test_forecast_rejects_a_missing_or_repeated_column(tmp_path, capsys, z_cols,
     assert not out.exists()
 
 
+def test_forecast_rejects_a_config_model_that_does_not_fit_the_columns(tmp_path, capsys):
+    # A stationary block of width 2 over one z column used to fail every
+    # window's fit, and the command wrote a report of fallbacks and exited 0.
+    data = tmp_path / "panel.csv"
+    _write_panel(data, _panel_rows())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"stat_links": ["identity"], "d1": 1, "d2": 2}}))
+    capsys.readouterr()
+    out = tmp_path / "r.csv"
+    assert run(["forecast", "--data", str(data), "--config", str(cfg), "--window", "30",
+                "--z-cols", "z1", "--out", str(out)]) == 2
+    assert "z must have 2 columns, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_cli_dimension_mismatch(tmp_path):
     data = tmp_path / "d.csv"
     assert run(["simulate", "--example", "ex52", "--n", "100", "--law", "normal",
@@ -383,6 +398,19 @@ def test_mc_cli_shape_determinism_and_rates(tmp_path):
     assert mse_csv in md.read_text()
 
 
+def test_mc_markdown_carries_the_rate_rows_of_its_csv(tmp_path):
+    # The markdown table used to end at the cells, without the rate rows.
+    out, md = tmp_path / "t.csv", tmp_path / "t.md"
+    assert run(["mc", "--example", "ex51", "--n", "50,100", "--reps", "3", "--losses", "l1",
+                "--laws", "d1", "--seed", "11", "--rate", "theta21,gamma3",
+                "--markdown", str(md), "--out", str(out)]) == 0
+    csv_rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    md_rows = [[tok.strip() for tok in line.strip("|").split("|")]
+               for line in md.read_text().splitlines()[2:]]
+    assert md_rows == csv_rows
+    assert [row[0] for row in csv_rows[-2:]] == ["rate:theta21", "rate:gamma3"]
+
+
 def test_mc_writes_an_undefined_rate_as_nan(tmp_path):
     # One iteration converges no replication, so every cell is empty and the
     # rate has no MSE to divide.  The table is still written, the rate as nan
@@ -409,6 +437,22 @@ def test_mc_rejects_an_unknown_rate_parameter_before_running(tmp_path, capsys, m
                 "--out", str(out)])
     assert code == 2
     assert "gamma3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mc_rejects_a_rate_with_one_sample_size_before_running(tmp_path, capsys, monkeypatch):
+    # A rate needs two sample sizes; with one, the command used to write no
+    # rate row and end its CSV with a blank line.
+    def no_run(config):
+        raise AssertionError("the Monte Carlo ran")
+
+    monkeypatch.setattr("mollifit.cli.run_replications", no_run)
+    out = tmp_path / "t.csv"
+    code = run(["mc", "--example", "ex51", "--n", "60", "--rate", "theta21",
+                "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "mc.rate_params" in err and "mc.n_list" in err
     assert not out.exists()
 
 
@@ -555,6 +599,14 @@ def test_loss_probe_cli(tmp_path):
 
     assert run(["loss-probe", "--loss", "se", "--m", "100",
                 "--grid=-1:1:0.5", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_loss_probe_names_the_flag_of_an_order_that_is_not_a_number(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    assert run(["loss-probe", "--loss", "lad", "--m", "100,x", "--grid=-1:1:0.5",
+                "--out", str(out)]) == 2
+    assert "--m: could not convert string to float: 'x'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_loss_probe_rejects_a_huge_or_unbounded_grid_before_making_it(

@@ -29,13 +29,13 @@ from mollifit.losses import (
     LAD,
     SQUARED_ERROR,
     LossKind,
-    MollifierOrder,
     eval_loss,
     huber_loss,
     kde_mollifier_order,
     mollified_grad,
     mollified_hess,
     quantile_loss,
+    sample_size_order,
     subgrad,
 )
 from mollifit.model import (
@@ -233,7 +233,7 @@ def test_estimate_a2_examples():
     assert estimate_a2(e, LAD, m) == pytest.approx(target, rel=0.05)
 
     e1 = rng.standard_normal(5000)
-    m_rate = MollifierOrder.from_sample_size(5000)
+    m_rate = sample_size_order(5000)
     assert estimate_a2(e1, HUB, m_rate) == pytest.approx(2 * ndtr(1.25) - 1, rel=0.05)
 
     e2 = rng.standard_normal(5000)

@@ -10,7 +10,6 @@ from mollifit.exceptions import ConfigurationError, UnsupportedLossError
 from mollifit.losses import (
     LAD,
     SQUARED_ERROR,
-    MollifierOrder,
     eval_loss,
     gap_bound,
     huber_loss,
@@ -19,6 +18,7 @@ from mollifit.losses import (
     mollified_grad,
     mollified_hess,
     quantile_loss,
+    sample_size_order,
     subgrad,
 )
 from oracles import _kink_points, quadrature_oracle
@@ -37,7 +37,7 @@ def test_spec_validation():
     with pytest.raises(ConfigurationError):
         huber_loss(-1.0)
     with pytest.raises(ConfigurationError):
-        MollifierOrder(0.5)
+        gap_bound(LAD, 0.5)
 
 
 def test_spec_and_order_require_finite_values():
@@ -46,7 +46,7 @@ def test_spec_and_order_require_finite_values():
     with pytest.raises(ConfigurationError, match="huber threshold must be finite"):
         huber_loss(math.inf)
     with pytest.raises(ConfigurationError, match="mollifier order must be finite"):
-        MollifierOrder(math.inf)
+        gap_bound(LAD, math.inf)
     for call in (mollified_eval, mollified_grad, mollified_hess):
         with pytest.raises(ConfigurationError, match="mollifier order must be finite"):
             call(LAD, math.inf, 0.0)
@@ -232,17 +232,17 @@ def test_shifted_hessian_smoke():
 
 
 def test_mollifier_order_from_sample_size():
-    assert MollifierOrder.from_sample_size(100).m == float(math.floor(100**2.1))
-    assert MollifierOrder.from_sample_size(10, epsilon=1.0).m == 1000.0
+    assert sample_size_order(100) == float(math.floor(100**2.1))
+    assert sample_size_order(10, epsilon=1.0) == 1000.0
     with pytest.raises(ConfigurationError):
-        MollifierOrder.from_sample_size(100, epsilon=0.0)
+        sample_size_order(100, epsilon=0.0)
 
 
 @pytest.mark.parametrize("epsilon", [200.0, math.inf])
 def test_mollifier_order_overflow_is_a_configuration_error(epsilon):
     # n ** (2 + epsilon) used to let OverflowError escape.
     with pytest.raises(ConfigurationError, match="overflows"):
-        MollifierOrder.from_sample_size(200, epsilon=epsilon)
+        sample_size_order(200, epsilon=epsilon)
 
 
 def _bits(a):
@@ -337,7 +337,7 @@ def test_kde_mollifier_order_tracks_spread():
     rng = np.random.default_rng(5)
     wide = kde_mollifier_order(2.0 * rng.standard_normal(5000))
     narrow = kde_mollifier_order(0.5 * rng.standard_normal(5000))
-    assert narrow.m > wide.m
+    assert narrow > wide
 
 
 def test_underflow_flush_is_exact_zero():

@@ -147,6 +147,30 @@ def test_rate_exponent_arithmetic():
         rate_exponent(table, "p", "lad", "normal", (100, 200))
 
 
+def test_summarize_rate_rows_are_unscaled_and_nan_where_undefined():
+    table = McTable(["p", "q"], ["lad"], ["normal"], [100, 200, 400])
+    for n, mse in ((100, 4e-4), (200, 1e-4), (400, 2.5e-5)):
+        table.cells[("p", "lad", "normal", n)] = McCell(0.0, 0.01, mse, 500, 0)
+        table.cells[("q", "lad", "normal", n)] = McCell(0.0, 0.0, 0.0 if n == 200 else mse, 500, 0)
+    rate = [rate_exponent(table, "p", "lad", "normal", pair) for pair in ((100, 200), (200, 400))]
+    assert rate == pytest.approx([2.0, 2.0])
+    # The cells are scaled, the rates are not; a zero MSE leaves a rate undefined.
+    text = summarize(table, "csv", scale=100.0, rate_params=["p", "q"])
+    lines = text.splitlines()
+    assert text.endswith(",,\n")
+    assert len(lines) == 1 + 2 * 3 + 2 * 2
+    assert lines[-4:] == [
+        f"rate:p,lad,normal,100->200,,,{rate[0]:.17g},,",
+        f"rate:p,lad,normal,200->400,,,{rate[1]:.17g},,",
+        "rate:q,lad,normal,100->200,,,nan,,",
+        "rate:q,lad,normal,200->400,,,nan,,",
+    ]
+    md_rows = summarize(table, "markdown", scale=100.0, rate_params=["p", "q"]).splitlines()[2:]
+    assert [[tok.strip() for tok in m.strip("|").split("|")] for m in md_rows] == [
+        line.split(",") for line in lines[1:]
+    ]
+
+
 def test_monotone_consistency_small():
     # MSE decreases with n for nearly all parameters (small-scale version
     # of the consistency diagnostic).

@@ -56,7 +56,9 @@ mixed-normal errors and the quantile loss (the mixed-normal quantile), and
 Two LAD forecasts on that panel follow, one with only a z block
 (``--z-cols z1,z2``) and one with only an x block (``--x-cols x1,x2``), so
 the reader's zero column for a block without columns is compared too.
-Last come three ``fit`` commands on simulated n = 200 data: ex51 with
+A small ``mc`` with ``--rate theta21,gamma3 --markdown`` compares the rate
+rows, which come last in both its CSV and its markdown table.  Last come
+three ``fit`` commands on simulated n = 200 data: ex51 with
 ``huber:1.25``, ex52 with ``lad``, and a config model with no stationary
 block on the ex51 data.  Then ``loss-probe`` tabulates ``lad``,
 ``quantile:0.3`` and ``huber:1.25`` and their smoothed value, score and
@@ -64,12 +66,13 @@ curvature at orders 1, 1e6 and 1e12 on a grid over [-2, 2] that crosses
 each kink, so the loss kernels' public outputs are compared too: the kink
 windows of ``losses`` hold every grid point at order 1, some at 1e6 and
 only the kinks at 1e12.  It writes the panels, the simulated data, the
-``mc`` CSVs, the forecast reports and error dumps, the ``fit`` JSON files
-and config, the ``loss-probe`` tables, and every sidecar into OUT_DIR.
-``compare`` of two such directories prints, for each, the failed
-replications of its ``mc`` tables and the fallback windows of its
-forecast reports, counted as the benchmark counts them; it lists each file
-that is in one only or whose bytes differ, and exits 1 if there is any.
+``mc`` CSVs and markdown table, the forecast reports and error dumps, the
+``fit`` JSON files and config, the ``loss-probe`` tables, and every
+sidecar into OUT_DIR.  ``compare`` of two such directories prints, for
+each, the failed replications of its ``mc`` tables (rate rows skipped)
+and the fallback windows of its forecast reports, counted as the
+benchmark counts them; it lists each file that is in one only or whose
+bytes differ, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -269,7 +272,8 @@ def cli(out_dir: str) -> int:
     # The two root-finds: the mixed-normal quantile (simulate, and mc's
     # quantile loss under law d2) and the Huber location (forecast's
     # constant benchmark); then forecasts with only a z block and only an
-    # x block, whose other block is the reader's zero column.
+    # x block, whose other block is the reader's zero column; then the rate
+    # rows of an mc table in both formats.
     argvs = [
         ["simulate", "--seed", "1", "--example", "ex51", "--n", "200", "--law", "d2",
          "--recenter-tau", "0.3", "--out", str(out / "simulate-d2.csv")],
@@ -283,6 +287,9 @@ def cli(out_dir: str) -> int:
            f"--{block}-cols", f"{block}1,{block}2", "--loss", "lad", "--threads", "1",
            "--out", str(out / f"forecast-{block}only.csv"),
            "--dump", str(out / f"forecast-{block}only.csv.dump")] for block in ("z", "x")),
+        ["mc", "--seed", "1", "--example", "ex51", "--n", "50,100", "--reps", "3",
+         "--laws", "d1", "--losses", "l1", "--threads", "1", "--rate", "theta21,gamma3",
+         "--markdown", str(out / "mc-rates.md"), "--out", str(out / "mc-rates.csv")],
     ]
     # fit writes the inference of infer into its JSON.
     nostat = out / "fit-nostat-config.json"
@@ -317,9 +324,11 @@ def cli_failures(out_dir: Path) -> str:
             with path.open(newline="") as f:
                 yield list(csv.DictReader(f))
 
-    # An mc table repeats its cell's failures on every parameter row.
+    # An mc table repeats its cell's failures on every parameter row; a rate
+    # row has none.
     failures = sum(
-        sum({(r["loss"], r["law"], r["n"]): int(r["failures"]) for r in table}.values())
+        sum({(r["loss"], r["law"], r["n"]): int(r["failures"])
+             for r in table if not r["param"].startswith("rate:")}.values())
         for table in tables("mc")
     )
     fallbacks = sum(int(r["fallback_count"]) for table in tables("forecast") for r in table)
