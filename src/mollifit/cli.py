@@ -12,6 +12,7 @@ stderr only.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import fields
@@ -26,6 +27,7 @@ from .dgp import (
     DgpConfig,
     ErrorLaw,
     TrendKind,
+    csv_text,
     dataset_from_csv,
     dataset_from_table,
     dataset_to_csv,
@@ -433,6 +435,9 @@ def cmd_mc(args) -> int:
             f"mc.rate_params: {', '.join(unknown)} not a parameter of {config.example} "
             f"(one of {', '.join(names)})"
         )
+    repeated = sorted({p for p in rate_params if rate_params.count(p) > 1})
+    if repeated:
+        raise ConfigurationError(f"mc.rate_params: {', '.join(repeated)} given more than once")
     if rate_params and len(config.n_list) < 2:
         raise ConfigurationError(
             "mc.rate_params: a rate needs at least two sample sizes in mc.n_list, "
@@ -502,20 +507,19 @@ def cmd_loss_probe(args) -> int:
         )
     m_list = _checked(lambda text: [float(v) for v in text.split(",")], args.m, "--m")
     grid = np.arange(lo, hi + 0.5 * step, step)
-    lines = ["u,rho,rho_m,rho_m_prime,rho_m_second,gap,gap_bound"]
-    for m in m_list:
-        bound = gap_bound(loss, m)
-        rho = eval_loss(loss, grid)
-        rho_m = mollified_eval(loss, m, grid)
-        rho_p = mollified_grad(loss, m, grid)
-        rho_pp = mollified_hess(loss, m, grid)
-        for i, u in enumerate(grid):
-            gap = abs(rho_m[i] - rho[i])
-            lines.append(
-                f"{u:.17g},{rho[i]:.17g},{rho_m[i]:.17g},{rho_p[i]:.17g},"
-                f"{rho_pp[i]:.17g},{gap:.17g},{bound:.17g}"
-            )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    rho = eval_loss(loss, grid)
+
+    # Lazily, one order at a time: a list of every order's rows would raise
+    # the command's peak memory by more than half.
+    def rows():
+        for m in m_list:
+            rho_m = mollified_eval(loss, m, grid)
+            columns = (grid, rho, rho_m, mollified_grad(loss, m, grid),
+                       mollified_hess(loss, m, grid), np.abs(rho_m - rho))
+            yield from zip(*(c.tolist() for c in columns), itertools.repeat(gap_bound(loss, m)))
+
+    names = ["u", "rho", "rho_m", "rho_m_prime", "rho_m_second", "gap", "gap_bound"]
+    _write_text(args.out, csv_text(names, rows()))
     _write_sidecar(args.out, {"loss": loss.label(), "m": m_list, "grid": args.grid})
     return 0
 

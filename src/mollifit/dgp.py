@@ -8,6 +8,10 @@ integrable design (Gaussian-density link on the random-walk index).
 Determinism contract: every generator is a pure function of its
 configuration and the supplied seeded stream.  Distinct replications should
 use child streams of a common seed, e.g. ``rng_for(base_seed, cell, rep)``.
+
+Every table the package reads goes through :func:`table_from_csv`, and
+every table it writes through :func:`csv_text`, which writes a float with 17
+significant digits so that the reader gets it back exactly.
 """
 
 from __future__ import annotations
@@ -307,19 +311,22 @@ def simulate_generic(
 
 
 def dataset_to_csv(data: Dataset) -> str:
-    """Render a dataset as CSV: header y,x1..,z1.. and 17-digit values."""
-    d1 = data.X.shape[1]
-    d2 = data.Z.shape[1]
-    header = ",".join(
-        ["y"]
-        + [f"x{i + 1}" for i in range(d1)]
-        + [f"z{i + 1}" for i in range(d2)]
-    )
-    rows = [header]
-    for t in range(data.n):
-        vals = [data.y[t]] + list(data.X[t]) + list(data.Z[t])
-        rows.append(",".join(f"{v:.17g}" for v in vals))
-    return "\n".join(rows) + "\n"
+    """Render a dataset as CSV with the header y,x1..,z1.."""
+    names = (["y"] + [f"x{i + 1}" for i in range(data.X.shape[1])]
+             + [f"z{i + 1}" for i in range(data.Z.shape[1])])
+    return csv_text(names, np.column_stack([data.y, data.X, data.Z]).tolist())
+
+
+def csv_text(names, rows) -> str:
+    """A comma-separated table: the header ``names``, then one line per row.
+
+    A float is written with 17 significant digits, so :func:`table_from_csv`
+    reads it back exactly; any other value is written as ``str`` gives it.
+    """
+    lines = [",".join(names)]
+    lines += [",".join([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row])
+              for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def table_from_csv(text: str) -> tuple[dict[str, np.ndarray], list[str] | None]:

@@ -386,8 +386,10 @@ def _minimize_one(opts, flat, e, L, m_target):
     ``("step", flat, e, m, exact)`` gets from :func:`_newton_steps` the
     Newton step of the order-``m`` smoothed score (of the exact subgradient
     if ``exact``); ``("search", flat, delta, L, size, floor)`` gets the line
-    search's result from :func:`_search`.  A failed step or search is
-    thrown in.  Returns the start's :class:`_StartOutcome`.
+    search's result from :func:`_search`.  A failed step or search is not
+    sent: :func:`_lockstep` takes it as the start's outcome.  Returns the
+    start's :class:`_StartOutcome`, converged if the final rung ended on a
+    short step or move or in a stall at the optimum, not on its budget.
 
     A rung ends when a step or an accepted move is shorter than its
     tolerance, or when a search is refused (a stall).  On an annealing rung
@@ -400,7 +402,6 @@ def _minimize_one(opts, flat, e, L, m_target):
     trace = [L]
     iters = 0
     accepted_any = False
-    converged = False
     rungs = _rung_schedule(e, m_target, smooth)
     size = 1
     for ri, m in enumerate(rungs):
@@ -410,14 +411,13 @@ def _minimize_one(opts, flat, e, L, m_target):
         budget = opts.max_iter - iters
         if not last:
             budget = min(budget, _RUNG_ITER_CAP)
-        stalled = False
+        end = "budget"
         exact = False
         for _ in range(budget):
             delta = yield "step", flat, e, m, exact
             last_delta_sup = float(np.max(np.abs(delta)))
             if last_delta_sup < rung_tol:
-                if last:
-                    converged = True
+                end = "short"
                 break
             found = yield "search", flat, delta, L, size, floor
             if found is None and last and smooth and not accepted_any:
@@ -432,7 +432,7 @@ def _minimize_one(opts, flat, e, L, m_target):
                 found = yield "search", flat, delta, L, size, floor
             iters += 1
             if found is None:
-                stalled = True
+                end = "stall"
                 break
             cand, e_c, L_c, trials = found
             # The next search opens with a block that would have held this one.
@@ -442,15 +442,14 @@ def _minimize_one(opts, flat, e, L, m_target):
             accepted_any = True
             trace.append(L)
             if step < rung_tol:
-                if last:
-                    converged = True
+                end = "short"
                 break
-        if last and stalled and (accepted_any or last_delta_sup < math.sqrt(opts.tol)):
-            # The smoothed direction cannot improve the exact objective any
-            # further; for kink losses this is the practical optimum.  A
-            # stall on the very first step only counts when the proposed
-            # step was already negligible (start at the optimum).
-            converged = True
+    # How the final rung ended.  After a stall, the smoothed direction
+    # cannot improve the exact objective any further; for kink losses this
+    # is the practical optimum.  A stall on the very first step only counts
+    # when the proposed step was already negligible (start at the optimum).
+    converged = end == "short" or (
+        end == "stall" and (accepted_any or last_delta_sup < math.sqrt(opts.tol)))
     return _StartOutcome(flat, e, iters, converged, trace)
 
 
@@ -653,8 +652,8 @@ def _lockstep(layout, opts, jobs):
     then one block of every pending line search.  A job gets its reply at
     once, so the search after a step is served in the same round, and a
     search resumes its job only when it ends.  Every job follows its serial
-    path bitwise.  Per job, in order: its :class:`_StartOutcome`, or the
-    exception it raised.
+    path bitwise.  Per job, in order: its :class:`_StartOutcome`, or its
+    error: a failed normalization, step or search, or an exception it raised.
     """
     names = {col: name for name, col in layout.scalars}
     n = jobs[0][0].n
@@ -688,11 +687,11 @@ def _lockstep(layout, opts, jobs):
             for i, answer in answers.items():
                 steps.pop(i, None)
                 searches.pop(i, None)
+                if isinstance(answer, Exception):
+                    outcomes[i] = answer
+                    continue
                 try:
-                    if isinstance(answer, Exception):
-                        request = gens[i].throw(answer)
-                    else:
-                        request = gens[i].send(answer)
+                    request = gens[i].send(answer)
                 except StopIteration as done:
                     outcomes[i] = done.value
                     continue

@@ -7,7 +7,8 @@ each quantile level's; the benchmark is the loss-matched constant model
 (mean, median, tau-quantile or Huber location) fitted on the same window.
 Performance is summarized by the pseudo out-of-sample R-squared,
 ``1 - sum rho(model errors) / sum rho(benchmark errors)``, so positive
-values mean the model beats the constant benchmark.
+values mean the model beats the constant benchmark.  The reports and the
+per-forecast error dump are written as CSV by :func:`mollifit.dgp.csv_text`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from functools import partial
 
 import numpy as np
 
+from .dgp import csv_text
 # fit stays a module attribute for bench/tracing.py, which wraps it here.
 from .estimate import FitOptions, fit, fit_many  # noqa: F401
 from .exceptions import ConfigurationError, MollifitError
@@ -83,10 +85,7 @@ def _prediction(model: ModelSpec, res, x, z):
     """The fitted mean at one row, or None if the fit failed or it is not finite."""
     if isinstance(res, MollifitError):
         return None
-    try:
-        yhat = regression_mean(model, res.params, x, z)
-    except MollifitError:
-        return None
+    yhat = regression_mean(model, res.params, x, z)
     return yhat if np.isfinite(yhat) else None
 
 
@@ -201,21 +200,14 @@ def run_forecast(data: Dataset, config: ForecastConfig, threads: int = 1) -> lis
 
 def report_csv(reports: list[ForecastReport]) -> str:
     """Summary CSV: window,loss,tau,pr2,n_forecasts,fallback_count."""
-    lines = ["window,loss,tau,pr2,n_forecasts,fallback_count"]
-    for r in reports:
-        tau = f"{r.tau:.17g}" if r.tau is not None else ""
-        lines.append(
-            f"{r.window},{r.loss_label},{tau},{r.pr2:.17g},{r.n_forecasts},{r.fallback_count}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [(r.window, r.loss_label, "" if r.tau is None else r.tau, r.pr2, r.n_forecasts,
+             r.fallback_count) for r in reports]
+    return csv_text(["window", "loss", "tau", "pr2", "n_forecasts", "fallback_count"], rows)
 
 
 def error_dump_csv(report: ForecastReport, dates=None) -> str:
     """Per-forecast error dump: t,date,pred_err,bench_err."""
-    lines = ["t,date,pred_err,bench_err"]
-    for i in range(report.n_forecasts):
-        date = "" if dates is None else str(dates[i])
-        lines.append(
-            f"{i + 1},{date},{report.pred_errors[i]:.17g},{report.bench_errors[i]:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    n = report.n_forecasts
+    dates = [""] * n if dates is None else [str(dates[i]) for i in range(n)]
+    rows = zip(range(1, n + 1), dates, report.pred_errors.tolist(), report.bench_errors.tolist())
+    return csv_text(["t", "date", "pred_err", "bench_err"], rows)

@@ -3,7 +3,8 @@
 Produces bias / standard deviation / mean-squared-error tables per
 (parameter, loss, error law, sample size) cell and empirical MSE decay
 exponents across sample sizes; :func:`summarize` renders both, the cells
-and then the rates, as one CSV or markdown table.
+and then the rates, as one CSV table written by :func:`mollifit.dgp.csv_text`,
+or as that table in markdown.
 
 Reproducibility contract: every (cell, replication) pair draws from its own
 substream of the base seed, so the table is byte-identical for a given
@@ -23,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .dgp import ErrorLaw, example_model, gen_example, rng_for
+from .dgp import ErrorLaw, csv_text, example_model, gen_example, rng_for
 # fit stays a module attribute for bench/tracing.py, which wraps it here.
 from .estimate import FitOptions, fit, fit_many  # noqa: F401
 from .exceptions import ConfigurationError, MollifitError, UndefinedRateError
@@ -202,16 +203,8 @@ def summarize(table: McTable, format: str = "csv", scale: float = 1.0, rate_para
     rows = []
     for pname, loss, law, n in _keys(table, table.param_names, table.n_list):
         cell = table.get(pname, loss, law, n)
-        rows.append(
-            (
-                pname, loss, law, str(n),
-                f"{cell.bias * scale:.17g}",
-                f"{cell.sd * scale:.17g}",
-                f"{cell.mse * scale:.17g}",
-                str(cell.reps_used),
-                str(cell.failures),
-            )
-        )
+        rows.append((pname, loss, law, n, cell.bias * scale, cell.sd * scale,
+                     cell.mse * scale, cell.reps_used, cell.failures))
     pairs = list(zip(table.n_list, table.n_list[1:]))
     for pname, loss, law, (n_a, n_b) in _keys(table, rate_params, pairs):
         try:
@@ -219,15 +212,15 @@ def summarize(table: McTable, format: str = "csv", scale: float = 1.0, rate_para
         except UndefinedRateError:
             # A zero or missing MSE: nan, as the table writes an empty cell.
             r = float("nan")
-        rows.append((f"rate:{pname}", loss, law, f"{n_a}->{n_b}", "", "", f"{r:.17g}", "", ""))
+        rows.append((f"rate:{pname}", loss, law, f"{n_a}->{n_b}", "", "", r, "", ""))
+    names = CSV_HEADER.split(",")
+    text = csv_text(names, rows)
     if format == "csv":
-        return "\n".join([CSV_HEADER] + [",".join(r) for r in rows]) + "\n"
+        return text
     if format == "markdown":
-        header = CSV_HEADER.split(",")
-        lines = [
-            "| " + " | ".join(header) + " |",
-            "|" + "|".join(["---"] * len(header)) + "|",
-        ]
-        lines.extend("| " + " | ".join(r) + " |" for r in rows)
+        # No parameter name, label, token or number holds a comma, so the
+        # CSV's commas are exactly its cell boundaries.
+        lines = ["| " + line.replace(",", " | ") + " |" for line in text.splitlines()]
+        lines.insert(1, "|" + "|".join(["---"] * len(names)) + "|")
         return "\n".join(lines) + "\n"
     raise ConfigurationError(f"unknown summary format: {format!r}")

@@ -440,6 +440,21 @@ def test_mc_rejects_an_unknown_rate_parameter_before_running(tmp_path, capsys, m
     assert not out.exists()
 
 
+def test_mc_rejects_a_repeated_rate_parameter_before_running(tmp_path, capsys, monkeypatch):
+    # A repeated name used to write the same rate rows twice.
+    def no_run(config):
+        raise AssertionError("the Monte Carlo ran")
+
+    monkeypatch.setattr("mollifit.cli.run_replications", no_run)
+    out = tmp_path / "t.csv"
+    code = run(["mc", "--example", "ex51", "--n", "50,100", "--rate", "theta21,gamma3,theta21",
+                "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "mc.rate_params" in err and "theta21" in err and "gamma3" not in err
+    assert not out.exists()
+
+
 def test_mc_rejects_a_rate_with_one_sample_size_before_running(tmp_path, capsys, monkeypatch):
     # A rate needs two sample sizes; with one, the command used to write no
     # rate row and end its CSV with a blank line.

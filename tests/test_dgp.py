@@ -9,6 +9,7 @@ from mollifit.dgp import (
     _var1_path,
     ErrorLaw,
     TrendKind,
+    csv_text,
     dataset_from_csv,
     dataset_from_table,
     dataset_to_csv,
@@ -299,6 +300,20 @@ def test_dataset_csv_roundtrip():
     np.testing.assert_array_equal(back.y, data.y)
     np.testing.assert_array_equal(back.X, data.X)
     np.testing.assert_array_equal(back.Z, data.Z)
+
+
+def test_csv_text_reads_back_every_float_exactly():
+    floats = [-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf, 0.1 + 0.2,
+              np.float64(1) / 3, np.float64(-2.5e-300)]
+    ints = [0, -7, 12, 2**53 + 1, 3, 10**17, 1, 2, 5]
+    words = ["a", "2020-01-31", "", "rate:theta21", "x", "nan?", "b", "c", "d"]
+    text = csv_text(["f", "i", "w"], zip(floats, ints, words))
+    assert text.endswith("\n") and text.splitlines()[0] == "f,i,w"
+    columns, dates = table_from_csv(text)
+    assert [float(v).hex() for v in columns["f"]] == [float(v).hex() for v in floats]
+    assert columns["i"].tolist() == [float(v) for v in ints]
+    assert [ln.split(",")[1] for ln in text.splitlines()[1:]] == [str(v) for v in ints]
+    assert dates == words
 
 
 def test_table_rejects_repeated_column_names():

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import ndtr, ndtri
 
 from mollifit import estimate
-from mollifit.dgp import ErrorLaw, gen_example, rng_for
+from mollifit.dgp import ErrorLaw, example_model, gen_example, rng_for
 from mollifit.estimate import (
     FitOptions,
     estimate_a1,
@@ -523,6 +523,42 @@ def test_fit_many_equals_fit_on_each_dataset(monkeypatch, example, loss):
                 patch.setattr(estimate, "_BLOCK_ELEMENTS", budget)
                 got = fit_many(spec, datasets, opts)
             assert [_outcome_bytes(layout, r) for r in got] == expect, budget
+
+
+@pytest.mark.parametrize("block, name", [("X", "theta12"), ("Z", "theta22")])
+def test_fit_many_returns_a_singular_step_as_its_fits_error(block, name):
+    # Without a ridge, an all-zero second column of X or Z leaves its index
+    # coefficient's row of the Newton system zero: the fit's first step
+    # fails, and fit_many returns that error in its slot and goes on with
+    # the next dataset.
+    singular, spec, truth = gen_example("ex52", 100, ErrorLaw.NORMAL, rng_for(0, 0))
+    blocks = {"X": singular.X.copy(), "Z": singular.Z.copy()}
+    blocks[block][:, 1] = 0.0
+    singular = Dataset(singular.y, blocks["X"], blocks["Z"])
+    data, _, _ = gen_example("ex52", 100, ErrorLaw.NORMAL, rng_for(0, 1))
+    opts = FitOptions(loss=HUB, ridge=0.0, init_params=truth, multistart=1)
+    first, second = fit_many(spec, [singular, data], opts)
+    assert isinstance(first, RankDeficiencyError)
+    assert "newton step" in str(first) and f"offending columns: {name})" in str(first)
+    with pytest.raises(RankDeficiencyError) as raised:
+        fit(spec, singular, opts)
+    assert str(raised.value) == str(first)
+    layout = ParamLayout(spec)
+    assert isinstance(second, estimate.FitResult)
+    assert _outcome_bytes(layout, second) == _outcome_bytes(layout, fit(spec, data, opts))
+
+
+def test_a_start_that_cannot_be_normalized_fails_its_fit():
+    # A zero index vector has no direction to normalize to.
+    spec, truth = example_model("ex52")
+    datasets = [gen_example("ex52", 100, ErrorLaw.NORMAL, rng_for(1, k))[0] for k in range(2)]
+    start = dataclasses.replace(truth, theta1=[np.zeros(2)])
+    opts = FitOptions(loss=LAD, init_params=start, multistart=1)
+    with pytest.raises(DegenerateParameterError, match="zero index vector"):
+        fit(spec, datasets[0], opts)
+    out = fit_many(spec, datasets, opts)
+    assert all(isinstance(err, DegenerateParameterError) for err in out)
+    assert [str(err) for err in out] == ["cannot normalize a zero index vector"] * 2
 
 
 def test_a_step_at_the_iterates_of_the_last_jacobian_reuses_it(monkeypatch):

@@ -57,7 +57,11 @@ Two LAD forecasts on that panel follow, one with only a z block
 (``--z-cols z1,z2``) and one with only an x block (``--x-cols x1,x2``), so
 the reader's zero column for a block without columns is compared too.
 A small ``mc`` with ``--rate theta21,gamma3 --markdown`` compares the rate
-rows, which come last in both its CSV and its markdown table.  Last come
+rows, which come last in both its CSV and its markdown table.  A LAD
+forecast with ``--dump`` on a copy of seed 1's first panel led by a
+``date`` column (months from 1990-01) writes that text column into its
+error dump, and a generic ``simulate`` whose config model has ``d1=1`` and
+``d2=3`` writes a dataset header of other widths.  Last come
 three ``fit`` commands on simulated n = 200 data: ex51 with
 ``huber:1.25``, ex52 with ``lad``, and a config model with no stationary
 block on the ex51 data.  Then ``loss-probe`` tabulates ``lad``,
@@ -65,10 +69,10 @@ block on the ex51 data.  Then ``loss-probe`` tabulates ``lad``,
 curvature at orders 1, 1e6 and 1e12 on a grid over [-2, 2] that crosses
 each kink, so the loss kernels' public outputs are compared too: the kink
 windows of ``losses`` hold every grid point at order 1, some at 1e6 and
-only the kinks at 1e12.  It writes the panels, the simulated data, the
-``mc`` CSVs and markdown table, the forecast reports and error dumps, the
-``fit`` JSON files and config, the ``loss-probe`` tables, and every
-sidecar into OUT_DIR.  ``compare`` of two such directories prints, for
+only the kinks at 1e12.  It writes the panels, the simulated data and
+its config, the ``mc`` CSVs and markdown table, the forecast reports and
+error dumps, the ``fit`` JSON files and config, the ``loss-probe`` tables,
+and every sidecar into OUT_DIR.  ``compare`` of two such directories prints, for
 each, the failed replications of its ``mc`` tables (rate rows skipped)
 and the fallback windows of its forecast reports, counted as the
 benchmark counts them; it lists each file that is in one only or whose
@@ -291,6 +295,25 @@ def cli(out_dir: str) -> int:
          "--laws", "d1", "--losses", "l1", "--threads", "1", "--rate", "theta21,gamma3",
          "--markdown", str(out / "mc-rates.md"), "--out", str(out / "mc-rates.csv")],
     ]
+    # The error dump's date column, from a panel led by one; and a generic
+    # simulation whose config model has one x and three z columns.
+    panel = (out / "panel-s1-0.csv").read_text().splitlines()
+    dates = np.datetime64("1990-01") + np.arange(len(panel) - 1)
+    dated = out / "panel-s1-0-dated.csv"
+    dated.write_text("\n".join([f"date,{panel[0]}"]
+                               + [f"{d},{row}" for d, row in zip(dates, panel[1:])]) + "\n")
+    argvs.append(["forecast", "--data", str(dated), "--window", str(workloads.WINDOW),
+                  "--x-cols", "x1,x2", "--z-cols", "z1,z2", "--loss", "lad", "--threads", "1",
+                  "--out", str(out / "forecast-dated.csv"),
+                  "--dump", str(out / "forecast-dated.csv.dump")])
+    generic = out / "simulate-generic-config.json"
+    generic.write_text(json.dumps({"model": {
+        "nonstat_links": ["identity"], "stat_links": ["identity"], "d1": 1, "d2": 3,
+        "params": {"theta1": [[1.0]], "gamma1": [1.0], "theta2": [[0.6, 0.8, 0.0]],
+                   "gamma2": [0.5]},
+    }}))
+    argvs.append(["simulate", "--seed", "1", "--n", "200", "--config", str(generic),
+                  "--out", str(out / "simulate-generic.csv")])
     # fit writes the inference of infer into its JSON.
     nostat = out / "fit-nostat-config.json"
     nostat.write_text(json.dumps({"model": {
